@@ -6,14 +6,16 @@ namespace dapsim
 DirtyBitCache::DirtyBitCache(const DirtyBitCacheConfig &cfg)
     : cfg_(cfg),
       dir_(cfg.entries / cfg.ways ? cfg.entries / cfg.ways : 1, cfg.ways,
-           ReplPolicy::LRU)
+           ReplPolicy::LRU),
+      groupDiv_(FastDiv::of(cfg.setsPerEntry)),
+      tagDiv_(FastDiv::of(dir_.numSets()))
 {
 }
 
 std::uint64_t
 DirtyBitCache::groupOf(std::uint64_t alloy_set) const
 {
-    return alloy_set / cfg_.setsPerEntry;
+    return groupDiv_.div(alloy_set);
 }
 
 std::uint64_t
@@ -25,15 +27,14 @@ DirtyBitCache::setIndex(std::uint64_t group) const
 std::uint64_t
 DirtyBitCache::tagOf(std::uint64_t group) const
 {
-    return group / dir_.numSets();
+    return tagDiv_.div(group);
 }
 
 DirtyBitCache::Probe
 DirtyBitCache::probe(std::uint64_t alloy_set)
 {
     const std::uint64_t g = groupOf(alloy_set);
-    const std::uint64_t bit =
-        1ULL << (alloy_set % cfg_.setsPerEntry);
+    const std::uint64_t bit = 1ULL << groupDiv_.mod(alloy_set);
     Probe p;
     Entry *e = dir_.find(setIndex(g), tagOf(g));
     if (e != nullptr) {
@@ -54,8 +55,7 @@ void
 DirtyBitCache::update(std::uint64_t alloy_set, bool dirty)
 {
     const std::uint64_t g = groupOf(alloy_set);
-    const std::uint64_t bit =
-        1ULL << (alloy_set % cfg_.setsPerEntry);
+    const std::uint64_t bit = 1ULL << groupDiv_.mod(alloy_set);
     Entry *e = dir_.find(setIndex(g), tagOf(g));
     if (e == nullptr)
         return;

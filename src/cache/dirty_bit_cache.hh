@@ -17,6 +17,7 @@
 
 #include "cache/assoc_cache.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace dapsim
 {
@@ -71,6 +72,10 @@ class DirtyBitCache
 
     DirtyBitCacheConfig cfg_;
     AssocCache<Entry> dir_;
+    /** Group split by cfg_.setsPerEntry and tag split by
+     *  dir_.numSets(): shifts for power-of-two geometries. */
+    FastDiv groupDiv_;
+    FastDiv tagDiv_;
 };
 
 } // namespace dapsim

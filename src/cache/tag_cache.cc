@@ -6,7 +6,8 @@ namespace dapsim
 TagCache::TagCache(const TagCacheConfig &cfg)
     : cfg_(cfg),
       dir_(cfg.entries / cfg.ways ? cfg.entries / cfg.ways : 1, cfg.ways,
-           ReplPolicy::LRU)
+           ReplPolicy::LRU),
+      tagDiv_(FastDiv::of(dir_.numSets()))
 {
 }
 
@@ -19,7 +20,7 @@ TagCache::setIndex(std::uint64_t ms_set) const
 std::uint64_t
 TagCache::tagOf(std::uint64_t ms_set) const
 {
-    return ms_set / dir_.numSets();
+    return tagDiv_.div(ms_set);
 }
 
 TagCache::LookupResult

@@ -17,6 +17,7 @@
 
 #include "cache/assoc_cache.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace dapsim
 {
@@ -89,6 +90,9 @@ class TagCache
 
     TagCacheConfig cfg_;
     AssocCache<Entry> dir_;
+    /** Tag split by dir_.numSets() — a shift for the power-of-two
+     *  geometries every preset uses (see FastDiv). */
+    FastDiv tagDiv_;
 };
 
 } // namespace dapsim

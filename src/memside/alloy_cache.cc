@@ -27,7 +27,8 @@ AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        const AlloyCacheConfig &cfg)
     : MemSideCache(eq, main_memory, policy), cfg_(cfg),
       array_(eq, cfg.array), dir_(cfg.numSets(), 1, ReplPolicy::LRU),
-      dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3)
+      dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3),
+      predDiv_(FastDiv::of(cfg.predictorEntries))
 {
 }
 
@@ -42,22 +43,25 @@ AlloyCache::effectivePeakAccPerCycle() const
            tad_clocks;
 }
 
+std::size_t
+AlloyCache::predictorIndex(Addr a) const
+{
+    const std::uint64_t region = a >> 12;
+    return static_cast<std::size_t>(
+        predDiv_.mod((region * 0x9e3779b97f4a7c15ULL) >> 32));
+}
+
 bool
 AlloyCache::predictHit(Addr a) const
 {
     // Region-hash (4 KB) indexed 2-bit counters; >= 2 predicts hit.
-    const std::uint64_t region = a >> 12;
-    const std::size_t i = static_cast<std::size_t>(
-        (region * 0x9e3779b97f4a7c15ULL) >> 32) % predictor_.size();
-    return predictor_[i] >= 2;
+    return predictor_[predictorIndex(a)] >= 2;
 }
 
 void
 AlloyCache::trainPredictor(Addr a, bool hit)
 {
-    const std::uint64_t region = a >> 12;
-    const std::size_t i = static_cast<std::size_t>(
-        (region * 0x9e3779b97f4a7c15ULL) >> 32) % predictor_.size();
+    const std::size_t i = predictorIndex(a);
     if (hit) {
         if (predictor_[i] < 3)
             ++predictor_[i];

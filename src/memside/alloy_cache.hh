@@ -93,7 +93,7 @@ class AlloyCache final : public MemSideCache
 
     std::uint64_t setOf(Addr a) const
     {
-        return indexHash(blockNumber(a)) % cfg_.numSets();
+        return dir_.mapSet(indexHash(blockNumber(a)));
     }
     std::uint64_t tagOf(Addr a) const { return blockNumber(a); }
 
@@ -103,6 +103,8 @@ class AlloyCache final : public MemSideCache
         return set * kBlockBytes;
     }
 
+    /** Predictor slot of @p a's 4 KB region. */
+    std::size_t predictorIndex(Addr a) const;
     bool predictHit(Addr a) const;
     void trainPredictor(Addr a, bool hit);
 
@@ -117,6 +119,8 @@ class AlloyCache final : public MemSideCache
     AssocCache<Line> dir_;
     DirtyBitCache dbc_;
     std::vector<std::uint8_t> predictor_;
+    /** Predictor index reduction (a mask for power-of-two sizes). */
+    FastDiv predDiv_;
 };
 
 } // namespace dapsim

@@ -178,29 +178,8 @@ bool
 EdramCache::warmTouch(Addr addr, bool is_write)
 {
     const std::uint64_t sec = sectorNumber(addr);
-    const std::uint64_t set = setOf(sec);
-    const std::uint64_t tag = tagOf(sec);
-    const std::uint32_t blk = blkOf(addr);
-
-    SectorMeta *m = dir_.find(set, tag);
-    const bool hit = m != nullptr && (is_write || m->isValid(blk));
-    if (m == nullptr) {
-        const std::uint64_t mask = footprint_.predict(sec, blk);
-        auto victim = dir_.insert(set, tag, SectorMeta{});
-        if (victim.valid)
-            footprint_.recordEviction(
-                sectorNumberFrom(set, victim.tag),
-                victim.value.touchedMask);
-        m = dir_.find(set, tag);
-        m->validMask = mask;
-    }
-    dir_.touch(set, tag);
-    m->touch(blk);
-    if (is_write)
-        m->setDirty(blk);
-    else
-        m->setValid(blk);
-    return hit;
+    return warmTouchSector(dir_, footprint_, setOf(sec), sec, blkOf(addr),
+                           is_write);
 }
 
 void

@@ -37,14 +37,10 @@ L3Cache::warmTouch(Addr addr, bool is_write)
     }
     auto victim = dir_.insert(set, tag, Line{is_write});
     if (victim.valid && victim.value.dirty) {
-        const Addr vaddr = victim.tag << kBlockShift;
-        ms_.warmTouch(vaddr, true);
         out.msWriteback = true;
+        out.victim = victim.tag << kBlockShift;
     }
-    if (!is_write) {
-        out.msRead = true;
-        out.msHit = ms_.warmTouch(addr, false);
-    }
+    out.msRead = !is_write;
     return out;
 }
 

@@ -54,18 +54,37 @@ class L3Cache
      */
     void access(Addr addr, bool is_write, Done done);
 
-    /** What one warmTouch() did (fast-forward measurement inputs). */
+    /**
+     * What one warmTouch() did, and the MS$ warm touches it caused, in
+     * the order they must reach the MS$: the dirty victim's write
+     * first, then the demand read.
+     */
     struct WarmOutcome
     {
-        bool l3Hit = false;      ///< block was present in the L3
-        bool msRead = false;     ///< a read reached the MS$ warm path
-        bool msHit = false;      ///< ...and found its block there
-        bool msWriteback = false; ///< a dirty victim reached the MS$
+        bool l3Hit = false;       ///< block was present in the L3
+        bool msWriteback = false; ///< dirty victim @c victim goes to the MS$
+        bool msRead = false;      ///< the touched block is read from the MS$
+        Addr victim = 0;          ///< address of the written-back victim
     };
 
-    /** Functional warm-up: update the directory and forward misses to
-     *  the MS$'s warm path; no timing, no statistics. */
+    /** Functional warm-up: update the directory and report the MS$
+     *  touches the access causes (see forwardWarm()); no timing, no
+     *  statistics. Never calls the MS$. */
     WarmOutcome warmTouch(Addr addr, bool is_write);
+
+    /**
+     * Apply the MS$ touches @p o reports for an L3 warm touch of
+     * @p addr to @p ms's warm path, in order.
+     * @return whether the demand read found its block in the MS$
+     *         (false when there was no read)
+     */
+    static bool
+    forwardWarm(MemSideCache &ms, Addr addr, const WarmOutcome &o)
+    {
+        if (o.msWriteback)
+            ms.warmTouch(o.victim, true);
+        return o.msRead && ms.warmTouch(addr, false);
+    }
 
     double
     missRatio() const

@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "dap/bandwidth_model.hh"
 #include "obs/observability.hh"
+#include "sim/warm_pipeline.hh"
 
 namespace dapsim
 {
@@ -446,13 +447,7 @@ System::allCoresFinished() const
 void
 System::warmup(std::uint64_t accesses_per_core)
 {
-    TraceRequest req;
-    for (std::uint64_t n = 0; n < accesses_per_core; ++n) {
-        for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
-            if (gens_[i]->next(req))
-                l3_->warmTouch(req.addr, req.isWrite);
-        }
-    }
+    warm::pipelinedWarmup(gens_, *l3_, *ms_, accesses_per_core);
     // Warm-up must not leak into the reported predictor statistics.
     if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
         sc->tagCache().hits.reset();
@@ -803,13 +798,14 @@ System::fastForward(std::uint64_t instr_per_core)
                 ++out.reads;
             const L3Cache::WarmOutcome o =
                 l3_->warmTouch(req.addr, req.isWrite);
+            const bool ms_hit = L3Cache::forwardWarm(*ms_, req.addr, o);
             if (o.l3Hit)
                 ++out.l3Hits;
             else
                 ++out.l3Misses;
             if (o.msRead) {
                 ++out.msReads;
-                if (o.msHit)
+                if (ms_hit)
                     ++out.msHits;
             }
             if (o.msWriteback)

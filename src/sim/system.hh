@@ -131,6 +131,9 @@ class System
      * each core's generator (round-robin) through the warm path so the
      * timed run starts from steady-state directories. Warm-up
      * perturbations to predictor statistics are reset afterwards.
+     * The generators, the L3 and the MS$ run as a three-stage
+     * pipeline on three threads (sim/warm_pipeline.hh); the warm
+     * state is bit-identical to the serial round-robin loop.
      */
     void warmup(std::uint64_t accesses_per_core);
 
@@ -174,9 +177,10 @@ class System
     /**
      * Analytic fast-forward: advance every core's access stream by
      * @p instr_per_core instructions *functionally* — records are
-     * pulled through the L3/MS$ warm path (directories, tag cache and
-     * footprint history stay in sync with where the stream now is) with
-     * zero event time and zero timed statistics. The caller prices the
+     * pulled core by core through the L3/MS$ warm path, inline on the
+     * calling thread (directories, tag cache and footprint history
+     * stay in sync with where the stream now is) with zero event time
+     * and zero timed statistics. The caller prices the
      * skipped interval with fastfwd::AnalyticEngine and accounts it via
      * creditFastForward(). Never called in exact fidelity.
      */

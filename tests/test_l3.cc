@@ -112,14 +112,39 @@ TEST_F(L3Test, WarmTouchFillsWithoutTiming)
     EXPECT_EQ(l3.hits.value(), 1u);
 }
 
+TEST_F(L3Test, WarmTouchReportsMsTouchesWithoutCallingTheMs)
+{
+    const L3Cache::WarmOutcome o = l3.warmTouch(0x7000, false);
+    EXPECT_FALSE(o.l3Hit);
+    EXPECT_TRUE(o.msRead);
+    EXPECT_FALSE(o.msWriteback);
+    EXPECT_FALSE(ms.isBlockResident(0x7000)); // the MS$ is untouched
+    EXPECT_FALSE(L3Cache::forwardWarm(ms, 0x7000, o)); // cold MS$ miss
+    EXPECT_TRUE(ms.isBlockResident(0x7000));
+    const L3Cache::WarmOutcome again = l3.warmTouch(0x7000, false);
+    EXPECT_TRUE(again.l3Hit);
+    EXPECT_FALSE(again.msRead);
+}
+
 TEST_F(L3Test, WarmDirtyEvictionsPropagateFunctionally)
 {
     const std::uint64_t lines = l3Config().capacityBytes / kBlockBytes;
-    for (std::uint64_t i = 0; i < lines * 3; ++i)
-        l3.warmTouch(static_cast<Addr>(i) * kBlockBytes, true);
-    // MS$ got warm write touches for the evicted dirty lines.
-    read(0x0); // likely evicted from L3 but resident in MS$
-    EXPECT_GE(ms.readHits.value() + ms.readMisses.value(), 1u);
+    std::uint64_t writebacks = 0;
+    for (std::uint64_t i = 0; i < lines * 3; ++i) {
+        const Addr a = static_cast<Addr>(i) * kBlockBytes;
+        const L3Cache::WarmOutcome o = l3.warmTouch(a, true);
+        EXPECT_FALSE(o.msRead); // full-block writes fetch nothing
+        if (o.msWriteback)
+            ++writebacks;
+        L3Cache::forwardWarm(ms, a, o);
+    }
+    // At most `lines` of the 3 * lines dirty blocks stay in the L3;
+    // every other one was reported as an MS$ write.
+    EXPECT_GE(writebacks, 2 * lines);
+    // The evicted dirty lines reached the MS$ warm path.
+    EXPECT_TRUE(ms.isBlockResident(0x0));
+    read(0x0);
+    EXPECT_EQ(ms.readHits.value(), 1u);
 }
 
 TEST_F(L3Test, MissRatioTracksCounts)
