@@ -10,15 +10,16 @@
  * §9): a near-future wheel of power-of-two buckets indexed by tick
  * quantum, a far-future overflow min-heap that refills the wheel as its
  * window advances, and a "current run" — the earliest occupied bucket,
- * swapped out wholesale and drained through a small index array sorted
- * by (tick, insertion seq). The common case — events clustered on clock
- * edges within ~1 µs of now — costs O(1) per schedule and amortized
- * O(log bucket-occupancy) comparisons per dispatch, with no per-event
- * heap allocation (callbacks are stored inline, see
- * common/inline_callback.hh) and no per-dispatch bucket scans. Dispatch
- * order is exactly (tick, insertion seq), bit-identical to a
- * binary-heap scheduler; tests/test_event_wheel_fuzz.cc enforces this
- * differentially.
+ * drained through a small array of node ids sorted by (tick, insertion
+ * seq). Events live in one recycled node pool (24-byte payloads, see
+ * common/inline_callback.hh); buckets are linked lists through it. The
+ * common case — events clustered on clock edges within ~1 µs of now —
+ * costs O(1) per schedule and amortized O(log bucket-occupancy)
+ * comparisons per dispatch, with no heap allocation once the pool has
+ * reached the peak pending population and no per-dispatch bucket
+ * scans. Dispatch order is exactly (tick, insertion seq), bit-identical
+ * to a binary-heap scheduler; tests/test_event_wheel_fuzz.cc enforces
+ * this differentially.
  */
 
 #ifndef DAPSIM_COMMON_EVENT_QUEUE_HH
@@ -41,8 +42,8 @@ namespace dapsim
 class EventQueue
 {
   public:
-    /** Inline small-buffer callback; no heap allocation for captures
-     *  up to kInlineCallbackBytes (pooled slots beyond that). */
+    /** 24-byte trivially copyable event payload (invoke pointer plus
+     *  a 16-byte capture, see common/inline_callback.hh). */
     using Callback = InlineCallback;
 
     /** Sentinel returned by nextEventTick() when no event is pending.
@@ -98,20 +99,9 @@ class EventQueue
         const std::uint64_t q = when >> kQuantumBits;
         if (q > base_) [[likely]] {
             if (q < base_ + kSlots) [[likely]] {
-                const std::size_t slot =
-                    static_cast<std::size_t>(q) & kSlotMask;
-                Bucket &b = buckets_[slot];
-                if (b.keys.empty())
-                    bucketSorted_[slot] = 1;
-                else if (when < b.keys.back().when)
-                    // Direct pushes carry monotonic seq, so only a
-                    // time step backwards breaks the append order.
-                    bucketSorted_[slot] = 0;
-                b.keys.push_back(Key{when, seq_++});
-                b.cbs.push_back(std::move(cb));
-                occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+                pushBucket(q, newNode(when, seq_++, cb));
             } else {
-                overflow_.emplace_back(when, seq_++, std::move(cb));
+                overflow_.push_back(Entry{when, seq_++, cb});
                 std::push_heap(overflow_.begin(), overflow_.end(),
                                heapLater);
             }
@@ -119,13 +109,15 @@ class EventQueue
             // At or before the run's quantum (same-tick events
             // included): joins the current run at its (when, seq)
             // position.
-            insertRun(when, seq_++, std::move(cb));
+            insertRun(when, seq_++, cb);
         }
     }
 
     /** Schedule @p cb @p delta ticks from now. */
-    void scheduleAfter(Tick delta, Callback cb) {
-        schedule(now_ + delta, std::move(cb));
+    void
+    scheduleAfter(Tick delta, Callback cb)
+    {
+        schedule(now_ + delta, cb);
     }
 
     /**
@@ -137,7 +129,7 @@ class EventQueue
     nextEventTick()
     {
         if (runHead_ < runOrder_.size())
-            return runKeys_[runOrder_[runHead_]].when;
+            return nodes_[runOrder_[runHead_]].when;
         return nextEventTickSlow();
     }
 
@@ -178,6 +170,10 @@ class EventQueue
      */
     void reserve(std::size_t expected_pending);
 
+    /** Pending population every queue is pre-sized for at
+     *  construction (see reserve()). */
+    static constexpr std::size_t kDefaultPending = 1024;
+
   private:
     /** log2 of the bucket quantum: 256 ps, one CPU cycle (250 ps) of
      *  headroom, so same-edge events share a bucket. */
@@ -191,24 +187,31 @@ class EventQueue
     static constexpr std::size_t kSlotMask = kSlots - 1;
     static constexpr std::size_t kBitmapWords = kSlots / 64;
     static constexpr std::uint64_t kNoSlot = ~std::uint64_t(0);
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
 
-    /** (when, seq) dispatch key, kept separate from the callback so
-     *  sorting and binary searches stream over dense 16-byte keys
-     *  instead of striding across 88-byte entries. */
-    struct Key
+    /** One wheel or run event in the node pool: its (when, seq)
+     *  dispatch key, its payload, and the link of its wheel slot's
+     *  list (or of the free list). */
+    struct Node
     {
         Tick when;
         std::uint64_t seq;
+        Callback cb;
+        std::uint32_t next;
     };
 
-    /** A wheel slot: parallel key/callback arrays in append order. */
-    struct Bucket
+    /** A wheel slot: a list of pool nodes in append order. */
+    struct Slot
     {
-        std::vector<Key> keys;
-        std::vector<Callback> cbs;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        /** Append order is already (when, seq) order — true whenever
+         *  events arrive time-sorted (clock-edge clustering), and lets
+         *  promote() skip the sort. */
+        bool sorted = true;
     };
 
-    /** Far-future overflow entry (heap moves whole entries; cold). */
+    /** Far-future overflow entry (cold). */
     struct Entry
     {
         Tick when;
@@ -222,23 +225,51 @@ class EventQueue
     {
         if (runHead_ == runOrder_.size())
             ensureRun();
-        const std::uint32_t idx = runOrder_[runHead_];
+        const std::uint32_t id = runOrder_[runHead_];
         ++runHead_;
-        now_ = runKeys_[idx].when;
-        // Move out before invoking: the callback may schedule into the
-        // current run and reallocate runCbs_ under its own captures.
-        Callback cb = std::move(runCbs_[idx]);
+        Node &n = nodes_[id];
+        now_ = n.when;
+        // Copy out and recycle before invoking: the callback may
+        // schedule, growing the pool under a reference to its node.
+        const Callback cb = n.cb;
+        n.next = freeHead_;
+        freeHead_ = id;
         --pending_;
         ++executed_;
 #if defined(__GNUC__) || defined(__clang__)
-        // Overlap the next callback's cache-line fetch with this
+        // Overlap the next node's cache-line fetch with this
         // callback's execution; dispatch order is already known.
         if (runHead_ < runOrder_.size())
-            __builtin_prefetch(&runCbs_[runOrder_[runHead_]]);
+            __builtin_prefetch(&nodes_[runOrder_[runHead_]]);
 #endif
         cb();
         if (hook_ != nullptr) [[unlikely]]
             hook_->onDispatch(now_, pending_);
+    }
+
+    /** Take a node from the free list (or grow the pool). */
+    std::uint32_t
+    newNode(Tick when, std::uint64_t seq, const Callback &cb)
+    {
+        std::uint32_t id = freeHead_;
+        if (id != kNil) {
+            freeHead_ = nodes_[id].next;
+            nodes_[id] = Node{when, seq, cb, kNil};
+        } else {
+            id = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.push_back(Node{when, seq, cb, kNil});
+        }
+        return id;
+    }
+
+    /** (when, seq) order of two pool nodes. */
+    bool
+    nodeBefore(std::uint32_t x, std::uint32_t y) const
+    {
+        const Node &a = nodes_[x], &b = nodes_[y];
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
     }
 
     /** Out-of-line tail of nextEventTick(): the current run is
@@ -251,28 +282,23 @@ class EventQueue
      *  event is pending anywhere. */
     bool ensureRun();
 
-    /** Swap bucket @p quantum in as the new current run and sort its
-     *  dispatch order; advances the window (base_) to @p quantum. */
+    /** Move bucket @p quantum's list into the run as the new dispatch
+     *  order and sort it; advances the window (base_) to @p quantum. */
     void promote(std::uint64_t quantum);
 
     /** Sorted insertion into the current run (binary search over the
      *  undispatched suffix of runOrder_). */
     void
-    insertRun(Tick when, std::uint64_t seq, Callback &&cb)
+    insertRun(Tick when, std::uint64_t seq, const Callback &cb)
     {
-        const auto idx = static_cast<std::uint32_t>(runKeys_.size());
-        runKeys_.push_back(Key{when, seq});
-        runCbs_.push_back(std::move(cb));
+        const std::uint32_t id = newNode(when, seq, cb);
         const auto pos = std::upper_bound(
             runOrder_.begin() + static_cast<std::ptrdiff_t>(runHead_),
-            runOrder_.end(), Key{when, seq},
-            [this](const Key &v, std::uint32_t i) {
-                const Key &a = runKeys_[i];
-                if (v.when != a.when)
-                    return v.when < a.when;
-                return v.seq < a.seq;
+            runOrder_.end(), id,
+            [this](std::uint32_t x, std::uint32_t y) {
+                return nodeBefore(x, y);
             });
-        runOrder_.insert(pos, idx);
+        runOrder_.insert(pos, id);
     }
 
     /** First occupied slot in window order after base_, as an absolute
@@ -284,14 +310,32 @@ class EventQueue
      *  or before base_ go straight into the current run). */
     void refillFromOverflow();
 
-    void pushBucket(std::uint64_t quantum, Entry &&e);
+    /** Append pool node @p id to the wheel slot of @p quantum. */
+    void
+    pushBucket(std::uint64_t quantum, std::uint32_t id)
+    {
+        const std::size_t slot =
+            static_cast<std::size_t>(quantum) & kSlotMask;
+        Slot &s = slots_[slot];
+        if (s.head == kNil) {
+            s.head = id;
+            s.sorted = true;
+        } else {
+            // Direct schedules carry monotonic seq, so only a time step
+            // backwards breaks the append order; overflow refills can
+            // carry any (when, seq).
+            if (nodeBefore(id, s.tail))
+                s.sorted = false;
+            nodes_[s.tail].next = id;
+        }
+        s.tail = id;
+        occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+    }
 
-    /** Clear the run's consumed storage, keeping capacity. */
+    /** Drop the run's consumed order, keeping capacity. */
     void
     clearRun()
     {
-        runKeys_.clear();
-        runCbs_.clear();
         runOrder_.clear();
         runHead_ = 0;
     }
@@ -304,17 +348,17 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    /** Near-future wheel: bucket per quantum, bitmap for O(1) skip of
-     *  empty slots. Bucket capacity circulates with the run vectors
-     *  via swap, so the steady state allocates nothing. Invariant:
-     *  bucket entries have quantum in (base_, base_ + kSlots) — the
-     *  slot of base_ itself is always empty (its events live in the
-     *  run). */
-    std::vector<Bucket> buckets_;
-    /** Bucket i's append order is already (when, seq) order — true
-     *  whenever events arrive time-sorted (clock-edge clustering), and
-     *  lets promote() skip the sort. Maintained by the push paths. */
-    std::vector<unsigned char> bucketSorted_;
+    /** Every wheel and run event, recycled through an intrusive free
+     *  list: the pool grows to the peak pending population once and
+     *  the steady state allocates nothing. */
+    std::vector<Node> nodes_;
+    std::uint32_t freeHead_ = kNil;
+
+    /** Near-future wheel: a node list per quantum, bitmap for O(1)
+     *  skip of empty slots. Invariant: listed nodes have quantum in
+     *  (base_, base_ + kSlots) — the slot of base_ itself is always
+     *  empty (its events live in the run). */
+    std::vector<Slot> slots_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
     /** Absolute quantum index of the current run (monotonic). */
     std::uint64_t base_ = 0;
@@ -324,11 +368,9 @@ class EventQueue
     std::vector<Entry> overflow_;
 
     /** Current run: every pending event with quantum <= base_, as
-     *  parallel key/callback arrays. Elements stay in place; dispatch
-     *  order is runOrder_[runHead_..], indices sorted by (when, seq).
-     *  Positions before runHead_ are consumed. */
-    std::vector<Key> runKeys_;
-    std::vector<Callback> runCbs_;
+     *  node ids sorted by (when, seq). Dispatch order is
+     *  runOrder_[runHead_..]; positions before runHead_ are consumed
+     *  (their nodes already recycled). */
     std::vector<std::uint32_t> runOrder_;
     std::size_t runHead_ = 0;
 

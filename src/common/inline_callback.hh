@@ -1,346 +1,99 @@
 /**
  * @file
- * Allocation-free callable for the simulation hot path.
+ * The simulator's event payload: a 24-byte, trivially copyable
+ * `void()` callable.
  *
- * `InlineCallback` stores a move-only `void()` callable in a small
- * inline buffer (kInlineCallbackBytes, sized for the largest hot-path
- * capture: an L3 miss continuation of { this, addr, tick, Done }).
- * Unlike `std::function` it never heap-allocates for captures that
- * fit, and it accepts move-only captures (e.g. another InlineCallback
- * or a std::unique_ptr), which lets completion closures chain through
- * the memory hierarchy without copies.
- *
- * Oversized captures (up to CallbackSlotPool::kSlotBytes) fall back to
- * a pooled heap slot: fixed-size chunks recycled through a per-thread
- * free list, so even the fallback is allocation-free in steady state.
- * Captures beyond the slot size are rejected at compile time — shrink
- * the capture (move shared state behind one pointer) instead.
+ * `InlineCallback` is a direct invoke pointer plus a 16-byte inline
+ * capture — `{this}` or `{this, id}`, the shape of every hot-path
+ * event. A capture must be trivially copyable, trivially destructible
+ * and at most kInlineCallbackBytes; anything else is rejected at
+ * compile time. State that does not fit lives in a record the event
+ * names by index (MemSideCache's read records, L3Cache's MSHR
+ * records; see DESIGN.md §9), so copying an event is a 24-byte copy
+ * and dropping one costs nothing.
  */
 
 #ifndef DAPSIM_COMMON_INLINE_CALLBACK_HH
 #define DAPSIM_COMMON_INLINE_CALLBACK_HH
 
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace dapsim
 {
 
-namespace detail
-{
+/** Inline capture size: two pointers, e.g. `{this, id}`. */
+constexpr std::size_t kInlineCallbackBytes = 16;
 
-/**
- * Recycling allocator for oversized callback captures. Slots are one
- * fixed size so the free list is a plain LIFO stack; each simulation
- * thread (sweep worker) has its own list, matching the one-thread-per-
- * System execution model. Slots return to the list on callback
- * destruction and are only released to the OS at thread exit.
- */
-class CallbackSlotPool
+/** Trivially copyable `void()` callable with a 16-byte capture. */
+class InlineCallback
 {
   public:
-    /** Hard capture-size ceiling for InlineCallback. */
-    static constexpr std::size_t kSlotBytes = 256;
-
-    static void *
-    alloc()
-    {
-        FreeList &fl = freeList();
-        if (!fl.slots.empty()) {
-            void *p = fl.slots.back();
-            fl.slots.pop_back();
-            return p;
-        }
-        return ::operator new(kSlotBytes,
-                              std::align_val_t(alignof(std::max_align_t)));
-    }
-
-    static void
-    release(void *p) noexcept
-    {
-        freeList().slots.push_back(p);
-    }
-
-  private:
-    struct FreeList
-    {
-        std::vector<void *> slots;
-
-        ~FreeList()
-        {
-            for (void *p : slots)
-                ::operator delete(
-                    p, std::align_val_t(alignof(std::max_align_t)));
-        }
-    };
-
-    static FreeList &
-    freeList()
-    {
-        thread_local FreeList fl;
-        return fl;
-    }
-};
-
-} // namespace detail
-
-/** Inline buffer size; covers every hot-path capture (see DESIGN.md
- *  §9). Larger captures use the pooled fallback transparently. */
-constexpr std::size_t kInlineCallbackBytes = 64;
-
-/** Move-only `void()` callable with small-buffer optimisation. */
-template <std::size_t N>
-class BasicInlineCallback
-{
-    static_assert(N >= sizeof(void *), "buffer must hold a slot pointer");
-
-  public:
-    BasicInlineCallback() = default;
-    BasicInlineCallback(std::nullptr_t) {}
+    InlineCallback() = default;
+    InlineCallback(std::nullptr_t) {}
 
     template <class F, class D = std::decay_t<F>,
               class = std::enable_if_t<
-                  !std::is_same_v<D, BasicInlineCallback> &&
+                  !std::is_same_v<D, InlineCallback> &&
                   std::is_invocable_r_v<void, D &>>>
-    BasicInlineCallback(F &&f)
+    InlineCallback(F &&f) : invoke_(&invokeAs<D>)
     {
-        construct<D>(std::forward<F>(f));
+        static_assert(sizeof(D) <= kInlineCallbackBytes,
+                      "callback capture exceeds 16 bytes; park the state "
+                      "in a record and capture its index");
+        static_assert(alignof(D) <= alignof(std::uint64_t),
+                      "over-aligned callback captures are unsupported");
+        static_assert(std::is_trivially_copyable_v<D> &&
+                          std::is_trivially_destructible_v<D>,
+                      "callback captures must be trivially copyable and "
+                      "trivially destructible");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
     }
 
-    BasicInlineCallback(BasicInlineCallback &&other) noexcept
-    {
-        moveFrom(other);
-    }
+    /** Invoke the stored callable (must be non-empty). Const-callable
+     *  like std::function, so `mutable` lambdas work too. */
+    void operator()() const { invoke_(buf_); }
 
-    BasicInlineCallback &
-    operator=(BasicInlineCallback &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            ops_ = nullptr;
-            moveFrom(other);
-        }
-        return *this;
-    }
+    explicit operator bool() const { return invoke_ != nullptr; }
 
-    BasicInlineCallback &
-    operator=(std::nullptr_t) noexcept
+    void reset() { invoke_ = nullptr; }
+
+    InlineCallback &
+    operator=(std::nullptr_t)
     {
         reset();
         return *this;
     }
 
-    BasicInlineCallback(const BasicInlineCallback &) = delete;
-    BasicInlineCallback &operator=(const BasicInlineCallback &) = delete;
-
-    ~BasicInlineCallback() { destroy(); }
-
-    /** Invoke the stored callable (must be non-empty). Const-callable
-     *  like std::function: the target is logically owned state, and
-     *  captured-by-value callbacks live in non-mutable lambdas all
-     *  over the hierarchy. */
-    void
-    operator()() const
-    {
-        ops_->invoke(const_cast<unsigned char *>(buf_));
-    }
-
-    explicit operator bool() const { return ops_ != nullptr; }
-
-    void
-    reset() noexcept
-    {
-        destroy();
-        ops_ = nullptr;
-    }
-
     /**
      * Pre-bound member-function callback: `Callback::of<&T::tick>(obj)`
-     * stores only the object pointer — the recurring-event form, as
-     * cheap to re-schedule as copying one pointer.
+     * stores only the object pointer — the recurring-event form.
      */
     template <auto Method, class T>
-    static BasicInlineCallback
+    static InlineCallback
     of(T *obj)
     {
-        return BasicInlineCallback([obj] { (obj->*Method)(); });
+        return InlineCallback([obj] { (obj->*Method)(); });
     }
 
   private:
-    struct Ops
-    {
-        void (*invoke)(void *buf);
-        void (*relocate)(void *src, void *dst) noexcept;
-        void (*destroy)(void *buf) noexcept;
-        /** Relocation is a plain buffer copy (trivially-copyable
-         *  inline capture, or pooled: the buffer holds a raw slot
-         *  pointer). Lets moveFrom() skip the indirect call — event
-         *  entries move through wheel buckets on the hot path. */
-        bool trivialRelocate;
-        /** The destructor is a no-op; destroy() may be skipped. */
-        bool trivialDestroy;
-        /** Bytes the capture actually occupies: most hot callbacks
-         *  are one or two pointers, so relocation copies 16 bytes
-         *  instead of the whole N-byte buffer. */
-        std::uint32_t size;
-    };
-
-    template <class F>
-    static constexpr bool kFitsInline =
-        sizeof(F) <= N && alignof(F) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<F>;
-
-    // ---- inline storage ------------------------------------------
-    template <class F>
-    static F *
-    inlinePtr(void *buf)
-    {
-        return std::launder(reinterpret_cast<F *>(buf));
-    }
-
-    template <class F>
+    template <class D>
     static void
-    invokeInline(void *buf)
+    invokeAs(const unsigned char *buf)
     {
-        (*inlinePtr<F>(buf))();
+        (*std::launder(
+            reinterpret_cast<D *>(const_cast<unsigned char *>(buf))))();
     }
 
-    template <class F>
-    static void
-    relocateInline(void *src, void *dst) noexcept
-    {
-        if constexpr (std::is_trivially_copyable_v<F>) {
-            std::memcpy(dst, src, sizeof(F));
-        } else {
-            F *from = inlinePtr<F>(src);
-            ::new (dst) F(std::move(*from));
-            from->~F();
-        }
-    }
-
-    template <class F>
-    static void
-    destroyInline(void *buf) noexcept
-    {
-        inlinePtr<F>(buf)->~F();
-    }
-
-    template <class F>
-    static constexpr Ops kInlineOps{&invokeInline<F>,
-                                    &relocateInline<F>,
-                                    &destroyInline<F>,
-                                    std::is_trivially_copyable_v<F>,
-                                    std::is_trivially_destructible_v<F>,
-                                    sizeof(F)};
-
-    // ---- pooled storage ------------------------------------------
-    static void *
-    slotOf(void *buf) noexcept
-    {
-        void *slot;
-        std::memcpy(&slot, buf, sizeof(slot));
-        return slot;
-    }
-
-    template <class F>
-    static void
-    invokePooled(void *buf)
-    {
-        (*static_cast<F *>(slotOf(buf)))();
-    }
-
-    template <class F>
-    static void
-    relocatePooled(void *src, void *dst) noexcept
-    {
-        std::memcpy(dst, src, sizeof(void *));
-    }
-
-    template <class F>
-    static void
-    destroyPooled(void *buf) noexcept
-    {
-        F *f = static_cast<F *>(slotOf(buf));
-        f->~F();
-        detail::CallbackSlotPool::release(f);
-    }
-
-    template <class F>
-    static constexpr Ops kPooledOps{&invokePooled<F>,
-                                    &relocatePooled<F>,
-                                    &destroyPooled<F>,
-                                    /*trivialRelocate=*/true,
-                                    /*trivialDestroy=*/false,
-                                    sizeof(void *)};
-
-    template <class D, class F>
-    void
-    construct(F &&f)
-    {
-        static_assert(sizeof(D) <= detail::CallbackSlotPool::kSlotBytes,
-                      "callback capture exceeds the pooled-slot limit; "
-                      "move shared state behind one pointer");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "over-aligned callback captures are unsupported");
-        if constexpr (kFitsInline<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &kInlineOps<D>;
-        } else {
-            void *slot = detail::CallbackSlotPool::alloc();
-            try {
-                ::new (slot) D(std::forward<F>(f));
-            } catch (...) {
-                detail::CallbackSlotPool::release(slot);
-                throw;
-            }
-            std::memcpy(buf_, &slot, sizeof(slot));
-            ops_ = &kPooledOps<D>;
-        }
-    }
-
-    void
-    moveFrom(BasicInlineCallback &other) noexcept
-    {
-        ops_ = other.ops_;
-        if (ops_ != nullptr) {
-            if (ops_->trivialRelocate) {
-                // Fixed-size copies (tail garbage is fine): two words
-                // cover the common one/two-pointer captures, the full
-                // buffer everything else.
-                constexpr std::size_t kTwoWords =
-                    2 * sizeof(std::uint64_t);
-                if constexpr (N >= kTwoWords) {
-                    if (ops_->size <= kTwoWords)
-                        std::memcpy(buf_, other.buf_, kTwoWords);
-                    else
-                        std::memcpy(buf_, other.buf_, N);
-                } else {
-                    std::memcpy(buf_, other.buf_, N);
-                }
-            } else {
-                ops_->relocate(other.buf_, buf_);
-            }
-            other.ops_ = nullptr;
-        }
-    }
-
-    void
-    destroy() noexcept
-    {
-        if (ops_ != nullptr && !ops_->trivialDestroy)
-            ops_->destroy(buf_);
-    }
-
-    alignas(std::max_align_t) unsigned char buf_[N];
-    const Ops *ops_ = nullptr;
+    void (*invoke_)(const unsigned char *) = nullptr;
+    alignas(std::uint64_t) unsigned char buf_[kInlineCallbackBytes]{};
 };
 
-/** The simulator-wide callback type (see EventQueue::Callback). */
-using InlineCallback = BasicInlineCallback<kInlineCallbackBytes>;
+static_assert(sizeof(InlineCallback) <= 24);
+static_assert(std::is_trivially_copyable_v<InlineCallback>);
 
 } // namespace dapsim
 

@@ -10,8 +10,8 @@
  * never returned until destruction, so a queue sized once (see
  * Channel's constructor) never allocates again.
  *
- * Supports move-only element types (ChannelRequest holds an
- * InlineCallback); the container itself is move-only.
+ * Supports move-only element types; the container itself is
+ * move-only.
  */
 
 #ifndef DAPSIM_COMMON_RING_DEQUE_HH

@@ -15,6 +15,7 @@ RobCore::RobCore(EventQueue &eq, const CoreConfig &cfg,
     if (cfg_.retireWidth == 0 || cfg_.robEntries == 0 ||
         cfg_.maxOutstanding == 0)
         fatal("RobCore: zero-sized resources");
+    inflight_.reserve(cfg_.maxOutstanding);
 }
 
 void
@@ -45,20 +46,12 @@ RobCore::advanceRetirement()
 
     // Retirement ceiling: the oldest incomplete read blocks everything
     // younger; otherwise the stream position bounds what exists.
-    double limit = 0.0;
-    bool blocked_by_read = false;
-    for (const Inflight &f : inflight_) {
-        if (!f.completed) {
-            limit = static_cast<double>(f.instrIndex);
-            blocked_by_read = true;
-            break;
-        }
-    }
-    if (!blocked_by_read) {
-        limit = static_cast<double>(
-            pendingValid_ ? fetchInstr_ + pending_.instrGap
-                          : fetchInstr_);
-    }
+    const double limit =
+        !inflight_.empty()
+            ? static_cast<double>(inflight_.front().instrIndex)
+            : static_cast<double>(pendingValid_
+                                      ? fetchInstr_ + pending_.instrGap
+                                      : fetchInstr_);
 
     const double budget = static_cast<double>(now - lastRetireTick_) *
                           cfg_.retireWidth / kCpuPeriodPs;
@@ -101,11 +94,8 @@ RobCore::scheduleFinishWakeup()
 {
     // A finite stream (tests) can leave retirement with no event to
     // materialize it: wake up when the target would be reached.
-    if (finishedAt_ != 0 || wakeupPending_)
-        return;
-    for (const Inflight &f : inflight_)
-        if (!f.completed)
-            return; // a read completion will re-pump
+    if (finishedAt_ != 0 || wakeupPending_ || !inflight_.empty())
+        return; // done, already armed, or a read completion re-pumps
     // Retirement can only reach what the stream produced; a stream
     // that ended short of the target must not spin wakeups forever.
     const double reachable = std::min(
@@ -148,13 +138,7 @@ RobCore::pump()
             // Blocked on ROB space. If a read is outstanding, its
             // completion re-pumps; otherwise retirement is advancing
             // freely and we can compute the unblock time.
-            bool any_incomplete = false;
-            for (const Inflight &f : inflight_)
-                if (!f.completed) {
-                    any_incomplete = true;
-                    break;
-                }
-            if (!any_incomplete && !wakeupPending_) {
+            if (inflight_.empty() && !wakeupPending_) {
                 const double needed =
                     static_cast<double>(instr_index) -
                     cfg_.robEntries + 1 - retired_;

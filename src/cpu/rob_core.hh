@@ -18,11 +18,11 @@
 #define DAPSIM_CPU_ROB_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "ckpt/serializer.hh"
 #include "common/event_queue.hh"
+#include "common/ring_deque.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -144,7 +144,10 @@ class RobCore
     double retired_ = 0.0;
     Tick lastRetireTick_ = 0;
 
-    std::deque<Inflight> inflight_; ///< outstanding reads, FIFO by age
+    /** Outstanding reads, FIFO by age (reserved to maxOutstanding).
+     *  Completed reads are popped from the front at once, so a
+     *  non-empty window's front is the oldest incomplete read. */
+    RingDeque<Inflight> inflight_;
     std::uint64_t tokenBase_ = 0;   ///< token of inflight_.front()
 
     Tick finishedAt_ = 0;

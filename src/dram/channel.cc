@@ -24,10 +24,12 @@ Channel::Channel(EventQueue &eq, const DramConfig &cfg, std::uint32_t index)
       banks_(cfg.ranksPerChannel * cfg.banksPerRank)
 {
     readDemandQ_.reserve(cfg_.requestQueueReserve);
-    readLowQ_.reserve(cfg_.requestQueueReserve);
+    // Footprint fetches arrive a sector's worth at a time.
+    readLowQ_.reserve(4 * cfg_.requestQueueReserve);
     writeQ_.reserve(std::max<std::uint32_t>(cfg_.requestQueueReserve,
                                             cfg_.writeQueueHigh + 8));
     cbSlots_.reserve(3 * cfg_.requestQueueReserve);
+    busResv_.reserve(kBusCompactAt + cfg_.requestQueueReserve);
     cbFree_.reserve(3 * cfg_.requestQueueReserve);
     if (cfg_.tREFI > 0) {
         // Stagger channels so refreshes don't align system-wide.
@@ -171,17 +173,30 @@ Channel::pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
 Tick
 Channel::placeBus(Tick ready, Tick occ, bool reserve)
 {
-    // Prune expired reservations from the front only. An expired
-    // entry is transparent to placement (candidates always have
-    // ready > now, so neither loop condition can trigger on it), so
-    // a mid-vector straggler merely waits its turn to reach the
-    // front — no per-call full-vector erase_if scan.
+    // Reservations are disjoint and sorted by start, hence by end too:
+    // the expired ones form a prefix, dropped by advancing the head.
     const Tick now = eq_.now();
-    while (!busResv_.empty() && busResv_.front().second <= now)
-        busResv_.erase(busResv_.begin());
+    while (busHead_ < busResv_.size() && busResv_[busHead_].second <= now)
+        ++busHead_;
+    if (busHead_ == busResv_.size()) {
+        busResv_.clear();
+        busHead_ = 0;
+    } else if (busHead_ >= kBusCompactAt) {
+        busResv_.erase(busResv_.begin(),
+                       busResv_.begin() +
+                           static_cast<std::ptrdiff_t>(busHead_));
+        busHead_ = 0;
+    }
+
+    // Common case: the slot starts after every reservation ends.
+    if (busResv_.empty() || ready >= busResv_.back().second) {
+        if (reserve)
+            busResv_.emplace_back(ready, ready + occ);
+        return ready;
+    }
 
     Tick start = ready;
-    std::size_t pos = 0;
+    std::size_t pos = busHead_;
     for (; pos < busResv_.size(); ++pos) {
         const auto &[s, e] = busResv_[pos];
         if (start + occ <= s)
@@ -324,10 +339,10 @@ Channel::save(ckpt::Serializer &s) const
     s.u64(banks_.size());
     for (const Bank &b : banks_)
         b.save(s);
-    s.u64(busResv_.size());
-    for (const auto &[start, end] : busResv_) {
-        s.u64(start);
-        s.u64(end);
+    s.u64(busResv_.size() - busHead_);
+    for (std::size_t i = busHead_; i < busResv_.size(); ++i) {
+        s.u64(busResv_[i].first);
+        s.u64(busResv_[i].second);
     }
     s.boolean(lastWasWrite_);
     s.boolean(draining_);
@@ -361,6 +376,7 @@ Channel::restore(ckpt::Deserializer &d)
     for (Bank &b : banks_)
         b.restore(d);
     busResv_.resize(d.u64());
+    busHead_ = 0;
     for (auto &[start, end] : busResv_) {
         start = d.u64();
         end = d.u64();

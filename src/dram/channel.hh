@@ -40,9 +40,7 @@ struct ChannelRequest
     /** Low-priority reads (footprint prefetch fetches) queue behind
      *  demand reads so fill bursts cannot crowd the critical path. */
     bool lowPriority = false;
-    /** Invoked when the access's data transfer (plus I/O) completes.
-     *  Move-only (inline storage, see common/inline_callback.hh), so
-     *  ChannelRequest itself is move-only. */
+    /** Invoked when the access's data transfer (plus I/O) completes. */
     EventQueue::Callback onComplete;
 };
 
@@ -216,8 +214,12 @@ class Channel
     std::vector<std::uint32_t> cbFree_;
     std::vector<Bank> banks_;
 
-    /** Future bus reservations [start, end), sorted by start tick. */
+    /** Bus reservations [start, end): disjoint and sorted by start
+     *  (so by end too). Entries before busHead_ have expired; the
+     *  prefix is erased once it reaches kBusCompactAt. */
     std::vector<std::pair<Tick, Tick>> busResv_;
+    std::size_t busHead_ = 0;
+    static constexpr std::size_t kBusCompactAt = 64;
 
     bool lastWasWrite_ = false;
     bool draining_ = false;

@@ -3,25 +3,6 @@
 namespace dapsim
 {
 
-/** Coordinates the TAD fetch with a predicted-miss early memory read. */
-struct AlloyReadState
-{
-    bool earlyRead = false; ///< memory read launched in parallel
-    bool memDone = false;
-    bool needMem = false;   ///< resolved to a miss (or IFRM)
-    bool completed = false;
-    MemSideCache::Done done;
-
-    void
-    complete()
-    {
-        if (!completed && done) {
-            completed = true;
-            done();
-        }
-    }
-};
-
 AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        PartitionPolicy &policy,
                        const AlloyCacheConfig &cfg)
@@ -79,7 +60,7 @@ AlloyCache::handleRead(Addr addr, Done done)
     if (policy_.isSetDisabled(set)) {
         readMisses.inc();
         window_.aMm++;
-        memAccess(addr, false, std::move(done));
+        memAccess(addr, false, done);
         return;
     }
 
@@ -94,7 +75,7 @@ AlloyCache::handleRead(Addr addr, Done done)
     if (policy_.steerToMemory(addr, steer)) {
         const Line *l = dir_.find(set, tagOf(addr));
         if (l == nullptr || !l->dirty) {
-            memAccess(addr, false, std::move(done));
+            memAccess(addr, false, done);
             return;
         }
     }
@@ -121,40 +102,47 @@ AlloyCache::handleRead(Addr addr, Done done)
             fillsBypassed.inc();
         }
         trainPredictor(addr, l != nullptr);
-        memAccess(addr, false, std::move(done));
+        memAccess(addr, false, done);
         return;
     }
 
-    auto st = std::make_shared<AlloyReadState>();
-    st->done = std::move(done);
+    const std::uint32_t id = openRead(addr, done);
 
     // Predicted miss: start miss handling early.
     if (!predictHit(addr)) {
-        st->earlyRead = true;
+        readRec(id).spec = true;
         earlyMissReads.inc();
-        memAccess(addr, false, [st] {
-            st->memDone = true;
-            if (st->needMem)
-                st->complete();
-        });
+        memAccess(addr, false,
+                  readEvent<&AlloyCache::earlyReadDone>(this, id));
     }
 
     window_.aMs++; // TAD read
     array_.access(tadAddr(set), false,
-                  [this, addr, st] { resolveRead(addr, st); },
+                  readEvent<&AlloyCache::resolveRead>(this, id),
                   cfg_.tadExtraClocks);
 }
 
 void
-AlloyCache::resolveRead(Addr addr, std::shared_ptr<AlloyReadState> st)
+AlloyCache::earlyReadDone(std::uint32_t id)
 {
+    ReadRec &r = readRec(id);
+    r.memDone = true;
+    if (r.needMem)
+        completeRead(id);
+}
+
+void
+AlloyCache::resolveRead(std::uint32_t id)
+{
+    const Addr addr = readRec(id).addr;
+    const bool early = readRec(id).spec;
     const std::uint64_t set = setOf(addr);
     const std::uint64_t tag = tagOf(addr);
     Line *l = dir_.find(set, tag);
     const bool hit = l != nullptr;
     policy_.noteReadOutcome(addr, hit);
     trainPredictor(addr, hit);
-    if (hit == !st->earlyRead)
+    if (hit == !early)
         predictorHits.inc();
     else
         predictorMisses.inc();
@@ -167,21 +155,21 @@ AlloyCache::resolveRead(Addr addr, std::shared_ptr<AlloyReadState> st)
             window_.cleanHits++;
         }
         dbc_.update(blockNumber(addr), l->dirty);
-        if (st->earlyRead)
+        if (early)
             wastedEarlyReads.inc(); // speculative memory read dropped
-        st->complete(); // data arrived with the TAD
+        completeRead(id); // data arrived with the TAD
         return;
     }
 
     // Miss.
     readMisses.inc();
     window_.aMm++;
-    if (st->earlyRead) {
-        st->needMem = true;
-        if (st->memDone)
-            st->complete();
+    if (early) {
+        readRec(id).needMem = true;
+        if (readRec(id).memDone)
+            completeRead(id);
     } else {
-        memAccess(addr, false, [st] { st->complete(); });
+        memAccess(addr, false, takeDone(id));
     }
     fill(addr);
 }

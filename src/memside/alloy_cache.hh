@@ -17,7 +17,6 @@
 #define DAPSIM_MEMSIDE_ALLOY_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/assoc_cache.hh"
@@ -108,8 +107,11 @@ class AlloyCache final : public MemSideCache
     bool predictHit(Addr a) const;
     void trainPredictor(Addr a, bool hit);
 
-    /** Resolve a read after the TAD arrives. */
-    void resolveRead(Addr addr, std::shared_ptr<struct AlloyReadState> st);
+    /** Resolve read @p id after the TAD arrives. */
+    void resolveRead(std::uint32_t id);
+
+    /** The predicted-miss early memory read of @p id has returned. */
+    void earlyReadDone(std::uint32_t id);
 
     /** Fill @p addr over the victim of its set (TAD write). */
     void fill(Addr addr);

@@ -33,20 +33,20 @@ EdramCache::handleRead(Addr addr, Done done)
     if (policy_.isSetDisabled(set)) {
         readMisses.inc();
         window_.aMm++;
-        memAccess(addr, false, std::move(done));
+        memAccess(addr, false, done);
         return;
     }
 
     // On-die SRAM tag lookup: pure latency, no array bandwidth.
-    eq_.scheduleAfter(cpuCyclesToTicks(cfg_.tagLookupCycles),
-                      [this, addr, done = std::move(done)]() mutable {
-                          resolveRead(addr, std::move(done));
-                      });
+    eq_.scheduleAfter(
+        cpuCyclesToTicks(cfg_.tagLookupCycles),
+        readEvent<&EdramCache::resolveRead>(this, openRead(addr, done)));
 }
 
 void
-EdramCache::resolveRead(Addr addr, Done done)
+EdramCache::resolveRead(std::uint32_t id)
 {
+    const Addr addr = readRec(id).addr;
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
     const std::uint64_t tag = tagOf(sec);
@@ -67,11 +67,11 @@ EdramCache::resolveRead(Addr addr, Done done)
             window_.cleanHits++;
             if (policy_.shouldForceReadMiss(addr)) {
                 forcedReadMisses.inc();
-                memAccess(addr, false, std::move(done));
+                memAccess(addr, false, takeDone(id));
                 return;
             }
         }
-        readArray_.access(dataAddr(sec, blk), false, std::move(done));
+        readArray_.access(dataAddr(sec, blk), false, takeDone(id));
         return;
     }
 
@@ -84,15 +84,22 @@ EdramCache::resolveRead(Addr addr, Done done)
         m->touch(blk);
         fill = launchFill(sec, blk);
     } else {
-        fill = allocateSector(addr, sec, blk);
+        fill = allocateSector(sec, blk);
     }
-    memAccess(addr, false,
-               [this, sec, blk, fill, done = std::move(done)] {
-                   if (fill)
-                       writeArray_.access(dataAddr(sec, blk), true);
-                   if (done)
-                       done();
-               });
+    ReadRec &r = readRec(id);
+    r.sec = sec;
+    r.blk = blk;
+    r.fill = fill;
+    memAccess(addr, false, readEvent<&EdramCache::missDone>(this, id));
+}
+
+void
+EdramCache::missDone(std::uint32_t id)
+{
+    const ReadRec &r = readRec(id);
+    if (r.fill)
+        writeArray_.access(dataAddr(r.sec, r.blk), true);
+    completeRead(id);
 }
 
 bool
@@ -139,10 +146,8 @@ EdramCache::writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
 }
 
 bool
-EdramCache::allocateSector(Addr addr, std::uint64_t sec,
-                           std::uint32_t blk)
+EdramCache::allocateSector(std::uint64_t sec, std::uint32_t blk)
 {
-    (void)addr;
     const std::uint64_t set = setOf(sec);
     const std::uint64_t tag = tagOf(sec);
 
@@ -167,8 +172,8 @@ EdramCache::allocateSector(Addr addr, std::uint64_t sec,
         window_.aMm++;
         const Addr baddr = sec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
-        memAccess(baddr, false, [this, sec, b] {
-            writeArray_.access(dataAddr(sec, b), true);
+        memAccess(baddr, false, [this, daddr = dataAddr(sec, b)] {
+            writeArray_.access(daddr, true);
         }, /*low_priority=*/true);
     }
     return demand_fill;

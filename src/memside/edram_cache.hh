@@ -113,11 +113,15 @@ class EdramCache final : public MemSideCache
 
     Addr dataAddr(std::uint64_t sec, std::uint32_t blk) const;
 
-    /** Resolve a read after the on-die tag lookup. */
-    void resolveRead(Addr addr, Done done);
+    /** Resolve read @p id after the on-die tag lookup. */
+    void resolveRead(std::uint32_t id);
+
+    /** The memory read of miss @p id has returned: fill, then
+     *  complete. */
+    void missDone(std::uint32_t id);
 
     bool launchFill(std::uint64_t sec, std::uint32_t blk);
-    bool allocateSector(Addr addr, std::uint64_t sec, std::uint32_t blk);
+    bool allocateSector(std::uint64_t sec, std::uint32_t blk);
     void writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
                          const SectorMeta &meta);
 

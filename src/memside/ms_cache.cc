@@ -1,6 +1,6 @@
 #include "memside/ms_cache.hh"
 
-#include <utility>
+#include "common/log.hh"
 
 namespace dapsim
 {
@@ -9,9 +9,40 @@ MemSideCache::MemSideCache(EventQueue &eq, DramSystem &main_memory,
                            PartitionPolicy &policy)
     : eq_(eq), mm_(main_memory), policy_(policy)
 {
+    reads_.reserve(kReadReserve);
+    readFree_.reserve(kReadReserve);
 }
 
 MemSideCache::~MemSideCache() = default;
+
+std::uint32_t
+MemSideCache::openRead(Addr addr, Done done)
+{
+    ++readsOpened_;
+    ReadRec rec;
+    rec.addr = addr;
+    rec.done = done;
+    if (!readFree_.empty()) {
+        const std::uint32_t id = readFree_.back();
+        readFree_.pop_back();
+        reads_[id] = rec;
+        return id;
+    }
+    reads_.push_back(rec);
+    return static_cast<std::uint32_t>(reads_.size() - 1);
+}
+
+void
+MemSideCache::settleRead(std::uint32_t id)
+{
+    ReadRec &r = reads_[id];
+    if (--r.pending != 0)
+        return;
+    if (r.done)
+        panic("MS$: read record released with its completion unfired");
+    ++readsClosed_;
+    readFree_.push_back(id);
+}
 
 void
 MemSideCache::startWindows(Cycle window_cycles)
@@ -53,10 +84,10 @@ MemSideCache::memAccess(Addr addr, bool is_write, Done done,
 {
     if (remote_ && policy_.shouldRouteToRemote(addr)) {
         window_.aRemote++;
-        remote_->access(addr, is_write, std::move(done));
+        remote_->access(addr, is_write, done);
         return;
     }
-    mm_.access(addr, is_write, std::move(done), 0, low_priority);
+    mm_.access(addr, is_write, done, 0, low_priority);
 }
 
 void
@@ -66,6 +97,8 @@ MemSideCache::saveBase(ckpt::Serializer &s) const
         throw ckpt::CkptError(
             "ckpt: MS$ window machinery running; checkpoints must be "
             "taken before the timed run");
+    if (readsOpened_ != readsClosed_)
+        throw ckpt::CkptError("ckpt: MS$ reads in flight");
     s.u64(window_.aMs);
     s.u64(window_.aMsRead);
     s.u64(window_.aMsWrite);

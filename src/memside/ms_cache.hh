@@ -12,6 +12,7 @@
 #define DAPSIM_MEMSIDE_MS_CACHE_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
@@ -27,8 +28,8 @@ namespace dapsim
 class MemSideCache
 {
   public:
-    /** Completion callback for reads (writes are posted). Move-only,
-     *  allocation-free for small captures (common/inline_callback.hh). */
+    /** Completion callback for reads (writes are posted): a 24-byte
+     *  event payload (common/inline_callback.hh). */
     using Done = EventQueue::Callback;
 
     MemSideCache(EventQueue &eq, DramSystem &main_memory,
@@ -134,6 +135,11 @@ class MemSideCache
                  : 0.0;
     }
 
+    /** Read records opened and closed so far; equal whenever no read
+     *  is in flight (request conservation). */
+    std::uint64_t readRecordsOpened() const { return readsOpened_; }
+    std::uint64_t readRecordsClosed() const { return readsClosed_; }
+
     /** Fraction of all CAS ops (MM + array) served by main memory. */
     double
     mainMemoryCasFraction() const
@@ -161,6 +167,69 @@ class MemSideCache
     Counter dirtyWritebacks;    ///< dirty blocks written to main memory
 
   protected:
+    /**
+     * One demand read in flight below the L3: the state its lookup,
+     * memory and array responses share. Events name it by index
+     * (`{this, id}` captures, see readEvent()); it is released when
+     * the last of them has fired.
+     */
+    struct ReadRec
+    {
+        Addr addr = 0;
+        std::uint64_t sec = 0; ///< sector of a miss fill
+        std::uint32_t blk = 0; ///< block of a miss fill
+        bool fill = false;     ///< the miss data is written to the array
+        bool spec = false;     ///< SFRM / early memory read launched
+        bool memDone = false;  ///< that memory read has returned
+        bool needMem = false;  ///< the lookup resolved to wait for it
+        /** Events naming this record that have not fired yet. */
+        std::uint8_t pending = 0;
+        Done done; ///< CPU completion (fired at most once)
+    };
+
+    /** Open a read record for @p addr completing with @p done. */
+    std::uint32_t openRead(Addr addr, Done done);
+
+    ReadRec &readRec(std::uint32_t id) { return reads_[id]; }
+
+    /**
+     * An event that runs `self->*Method(id)` for read @p id and then
+     * settles it; counts one more pending response on the record.
+     */
+    template <auto Method, class T>
+    Done
+    readEvent(T *self, std::uint32_t id)
+    {
+        ++reads_[id].pending;
+        return [self, id] {
+            (self->*Method)(id);
+            self->MemSideCache::settleRead(id);
+        };
+    }
+
+    /** Hand read @p id's completion to the one access that now
+     *  serves it (the record no longer fires it). */
+    Done
+    takeDone(std::uint32_t id)
+    {
+        const Done d = reads_[id].done;
+        reads_[id].done = nullptr;
+        return d;
+    }
+
+    /** Fire read @p id's completion now, if not already handed on. */
+    void
+    completeRead(std::uint32_t id)
+    {
+        const Done d = takeDone(id);
+        if (d)
+            d();
+    }
+
+    /** One pending response of read @p id has been handled; the last
+     *  one releases the record. */
+    void settleRead(std::uint32_t id);
+
     /** Shared part of save()/restore() for derived classes. */
     void saveBase(ckpt::Serializer &s) const;
     void restoreBase(ckpt::Deserializer &d);
@@ -187,6 +256,14 @@ class MemSideCache
 
     bool windowsRunning_ = false;
     Cycle windowCycles_ = 0;
+
+    /** Read-record arena + freelist (see ReadRec), pre-sized past the
+     *  reads a run keeps in flight. */
+    static constexpr std::size_t kReadReserve = 512;
+    std::vector<ReadRec> reads_;
+    std::vector<std::uint32_t> readFree_;
+    std::uint64_t readsOpened_ = 0;
+    std::uint64_t readsClosed_ = 0;
 };
 
 } // namespace dapsim

@@ -54,35 +54,44 @@ SectoredDramCache::issueMetaWrite(std::uint64_t set)
 }
 
 void
-SectoredDramCache::lookupTags(Addr addr, bool is_read,
-                              EventQueue::Callback next,
-                              const SfrmRef &sfrm)
+SectoredDramCache::lookupTags(Addr addr, std::uint32_t id)
 {
     const std::uint64_t set = setOf(sectorNumber(addr));
     const TagCache::LookupResult tc = tagCache_.access(set);
     if (tc.writebackNeeded)
         issueMetaWrite(set);
+    const auto next = [&]() -> Done {
+        if (id == kNoRead)
+            return [] {};
+        return readEvent<&SectoredDramCache::resolveRead>(this, id);
+    };
 
     if (tc.hit) {
         eq_.scheduleAfter(cpuCyclesToTicks(cfg_.tagCache.lookupCycles),
-                          std::move(next));
+                          next());
         return;
     }
 
     // Metadata must be fetched from the DRAM array.
     window_.aMs++;
-    if (is_read && sfrm && policy_.shouldSpeculateToMemory(addr)) {
+    if (id != kNoRead && policy_.shouldSpeculateToMemory(addr)) {
         // SFRM: launch the memory read in parallel with the tag fetch.
-        sfrm->active = true;
+        readRec(id).spec = true;
         speculativeReads.inc();
-        memAccess(addr, false, [sfrm] {
-            sfrm->memDone = true;
-            if (sfrm->missOrClean)
-                sfrm->complete();
-            // A dirty hit drops this response (bandwidth wasted).
-        });
+        memAccess(addr, false,
+                  readEvent<&SectoredDramCache::sfrmDone>(this, id));
     }
-    array_.access(metaAddr(set), false, std::move(next));
+    array_.access(metaAddr(set), false, next());
+}
+
+void
+SectoredDramCache::sfrmDone(std::uint32_t id)
+{
+    ReadRec &r = readRec(id);
+    r.memDone = true;
+    if (r.needMem)
+        completeRead(id);
+    // A dirty hit drops this response (bandwidth wasted).
 }
 
 void
@@ -95,7 +104,7 @@ SectoredDramCache::handleRead(Addr addr, Done done)
         // BATMAN: disabled sets are served straight from memory.
         readMisses.inc();
         window_.aMm++;
-        memAccess(addr, false, std::move(done));
+        memAccess(addr, false, done);
         return;
     }
 
@@ -112,22 +121,20 @@ SectoredDramCache::handleRead(Addr addr, Done done)
         const SectorMeta *m = dir_.find(set, tagOf(sec));
         if (m == nullptr || !m->isDirty(blkOf(addr))) {
             steeredToMemory.inc();
-            memAccess(addr, false, std::move(done));
+            memAccess(addr, false, done);
             return;
         }
         steerOverridden.inc();
     }
 
-    SfrmRef sfrm = SfrmRef::make();
-    sfrm->done = std::move(done);
-    lookupTags(addr, true,
-               [this, addr, sfrm] { resolveRead(addr, sfrm); },
-               sfrm);
+    lookupTags(addr, openRead(addr, done));
 }
 
 void
-SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
+SectoredDramCache::resolveRead(std::uint32_t id)
 {
+    const Addr addr = readRec(id).addr;
+    const bool spec = readRec(id).spec;
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
     const std::uint64_t tag = tagOf(sec);
@@ -148,31 +155,28 @@ SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
             window_.cleanHits++;
         }
 
-        if (sfrm->active) {
+        if (spec) {
             if (clean) {
                 // SFRM already fetched the data from memory; use it.
-                sfrm->missOrClean = true;
-                if (sfrm->memDone)
-                    sfrm->complete();
+                readRec(id).needMem = true;
+                if (readRec(id).memDone)
+                    completeRead(id);
                 return;
             }
             // Dirty hit: the memory response must be dropped and the
             // data read from the cache (wasted memory bandwidth).
-            sfrm->dirtyHit = true;
             speculativeWasted.inc();
-            array_.access(dataAddr(sec, blk), false,
-                          [sfrm] { sfrm->complete(); });
+            array_.access(dataAddr(sec, blk), false, takeDone(id));
             return;
         }
 
         if (clean && policy_.shouldForceReadMiss(addr)) {
             // IFRM: serve the clean hit from main memory.
             forcedReadMisses.inc();
-            memAccess(addr, false, [sfrm] { sfrm->complete(); });
+            memAccess(addr, false, takeDone(id));
             return;
         }
-        array_.access(dataAddr(sec, blk), false,
-                      [sfrm] { sfrm->complete(); });
+        array_.access(dataAddr(sec, blk), false, takeDone(id));
         return;
     }
 
@@ -187,23 +191,33 @@ SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
         m->touch(blk);
         fill = launchFill(sec, blk);
     } else {
-        fill = allocateSector(addr, sec, blk);
+        fill = allocateSector(sec, blk);
     }
 
-    if (sfrm->active) {
+    ReadRec &r = readRec(id);
+    if (spec) {
         // The SFRM read doubles as the demand fetch.
         if (fill)
             array_.access(dataAddr(sec, blk), true);
-        sfrm->missOrClean = true;
-        if (sfrm->memDone)
-            sfrm->complete();
+        r.needMem = true;
+        if (r.memDone)
+            completeRead(id);
     } else {
-        memAccess(addr, false, [this, sec, blk, fill, sfrm] {
-            if (fill)
-                array_.access(dataAddr(sec, blk), true);
-            sfrm->complete();
-        });
+        r.sec = sec;
+        r.blk = blk;
+        r.fill = fill;
+        memAccess(addr, false,
+                  readEvent<&SectoredDramCache::missDone>(this, id));
     }
+}
+
+void
+SectoredDramCache::missDone(std::uint32_t id)
+{
+    const ReadRec &r = readRec(id);
+    if (r.fill)
+        array_.access(dataAddr(r.sec, r.blk), true);
+    completeRead(id);
 }
 
 bool
@@ -254,10 +268,8 @@ SectoredDramCache::writebackVictim(std::uint64_t set,
 }
 
 bool
-SectoredDramCache::allocateSector(Addr addr, std::uint64_t sec,
-                                  std::uint32_t blk)
+SectoredDramCache::allocateSector(std::uint64_t sec, std::uint32_t blk)
 {
-    (void)addr;
     const std::uint64_t set = setOf(sec);
     const std::uint64_t tag = tagOf(sec);
 
@@ -285,8 +297,8 @@ SectoredDramCache::allocateSector(Addr addr, std::uint64_t sec,
         window_.aMm++;
         const Addr baddr = sec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
-        memAccess(baddr, false, [this, sec, b] {
-            array_.access(dataAddr(sec, b), true);
+        memAccess(baddr, false, [this, daddr = dataAddr(sec, b)] {
+            array_.access(daddr, true);
         }, /*low_priority=*/true);
     }
     return demand_fill;
@@ -313,7 +325,7 @@ SectoredDramCache::handleWrite(Addr addr)
 
     // Writes are posted: tag lookup bandwidth is charged, but the
     // directory is updated immediately (metadata pipelining).
-    lookupTags(addr, false, [] {}, nullptr);
+    lookupTags(addr, kNoRead);
 
     SectorMeta *m = dir_.find(set, tag);
     if (m != nullptr) {

@@ -7,6 +7,8 @@ L3Cache::L3Cache(EventQueue &eq, const L3Config &cfg, MemSideCache &ms)
     : eq_(eq), cfg_(cfg), ms_(ms),
       dir_(cfg.numSets(), cfg.ways, ReplPolicy::LRU)
 {
+    contSlots_.reserve(kContReserve);
+    contFree_.reserve(kContReserve);
 }
 
 void
@@ -58,7 +60,7 @@ L3Cache::access(Addr addr, bool is_write, Done done)
         if (is_write) {
             l->dirty = true;
         } else if (done) {
-            eq_.scheduleAfter(lookup, std::move(done));
+            eq_.scheduleAfter(lookup, done);
         }
         return;
     }
@@ -74,53 +76,48 @@ L3Cache::access(Addr addr, bool is_write, Done done)
     readMisses.inc();
     install(addr, false);
     // The L3 lookup precedes the downstream access.
-    const std::uint32_t slot = putCont(addr, eq_.now(), std::move(done));
+    const std::uint32_t slot = putCont(addr, eq_.now(), done);
     eq_.scheduleAfter(lookup, [this, slot] { lookupDone(slot); });
 }
 
 void
 L3Cache::lookupDone(std::uint32_t slot)
 {
-    // Re-index at invoke time: contSlots_ may have grown (and moved)
-    // since this event was scheduled.
-    const Addr addr = contSlots_[slot].addr;
-    ms_.handleRead(addr, [this, slot] {
-        MissCont &c = contSlots_[slot];
-        readMissLatency.sample(
-            static_cast<double>(eq_.now() - c.issued));
-        Done done = std::move(c.done);
-        // Recycle before completing: done() may issue new accesses.
-        freeCont(slot);
-        if (done)
-            done();
-    });
-}
-
-std::uint32_t
-L3Cache::putCont(Addr addr, Tick issued, Done &&done)
-{
-    if (!contFree_.empty()) {
-        const std::uint32_t idx = contFree_.back();
-        contFree_.pop_back();
-        MissCont &c = contSlots_[idx];
-        c.addr = addr;
-        c.issued = issued;
-        c.done = std::move(done);
-        return idx;
-    }
-    contSlots_.push_back(MissCont{addr, issued, std::move(done)});
-    return static_cast<std::uint32_t>(contSlots_.size() - 1);
+    ms_.handleRead(contSlots_[slot].addr,
+                   [this, slot] { missDone(slot); });
 }
 
 void
-L3Cache::freeCont(std::uint32_t idx)
+L3Cache::missDone(std::uint32_t slot)
 {
-    contFree_.push_back(idx);
+    const MissCont c = contSlots_[slot];
+    readMissLatency.sample(static_cast<double>(eq_.now() - c.issued));
+    // Recycle before completing: done() may issue new accesses.
+    contFree_.push_back(slot);
+    ++contsClosed_;
+    if (c.done)
+        c.done();
+}
+
+std::uint32_t
+L3Cache::putCont(Addr addr, Tick issued, Done done)
+{
+    ++contsOpened_;
+    if (!contFree_.empty()) {
+        const std::uint32_t idx = contFree_.back();
+        contFree_.pop_back();
+        contSlots_[idx] = MissCont{addr, issued, done};
+        return idx;
+    }
+    contSlots_.push_back(MissCont{addr, issued, done});
+    return static_cast<std::uint32_t>(contSlots_.size() - 1);
 }
 
 void
 L3Cache::save(ckpt::Serializer &s) const
 {
+    if (contsOpened_ != contsClosed_)
+        throw ckpt::CkptError("ckpt: L3 read misses in flight");
     dir_.save(s, [](ckpt::Serializer &sr, const Line &l) {
         sr.boolean(l.dirty);
     });

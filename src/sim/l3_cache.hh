@@ -106,6 +106,11 @@ class L3Cache
     void save(ckpt::Serializer &s) const;
     void restore(ckpt::Deserializer &d);
 
+    /** MSHR records opened and closed so far; equal whenever no read
+     *  miss is in flight (request conservation). */
+    std::uint64_t missRecordsOpened() const { return contsOpened_; }
+    std::uint64_t missRecordsClosed() const { return contsClosed_; }
+
     Counter hits;
     Counter misses;
     Counter readMisses;
@@ -127,10 +132,8 @@ class L3Cache
     void install(Addr addr, bool dirty);
 
     /**
-     * In-flight read-miss continuation, parked by index: the lookup
-     * and completion closures capture {this, slot} (16 bytes, inline)
-     * instead of carrying the 80-byte Done through two pooled-slot
-     * callbacks per miss.
+     * MSHR record of an in-flight read miss, parked by index: the
+     * lookup and completion events capture {this, slot}.
      */
     struct MissCont
     {
@@ -139,19 +142,25 @@ class L3Cache
         Done done;
     };
 
-    std::uint32_t putCont(Addr addr, Tick issued, Done &&done);
-    void freeCont(std::uint32_t idx);
+    std::uint32_t putCont(Addr addr, Tick issued, Done done);
 
     /** Body of the post-lookup event for miss continuation @p slot. */
     void lookupDone(std::uint32_t slot);
+
+    /** The MS$ has served miss @p slot: sample, recycle, complete. */
+    void missDone(std::uint32_t slot);
 
     EventQueue &eq_;
     L3Config cfg_;
     MemSideCache &ms_;
     AssocCache<Line> dir_;
-    /** Parked read-miss continuations + freelist (see MissCont). */
+    /** Parked read-miss continuations + freelist (see MissCont),
+     *  pre-sized past the misses a run keeps in flight. */
+    static constexpr std::size_t kContReserve = 512;
     std::vector<MissCont> contSlots_;
     std::vector<std::uint32_t> contFree_;
+    std::uint64_t contsOpened_ = 0;
+    std::uint64_t contsClosed_ = 0;
 };
 
 } // namespace dapsim

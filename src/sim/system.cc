@@ -107,6 +107,7 @@ System::System(const SystemConfig &cfg,
         policy_->setRemoteFraction(b_rem / (b_mm + b_rem));
     }
     l3_ = std::make_unique<L3Cache>(eq_, cfg_.l3, *ms_);
+    pfScratch_.reserve(cfg_.prefetch.degree);
 
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         AccessGenerator *gen = gens_[i].get();

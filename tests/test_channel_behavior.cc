@@ -83,7 +83,8 @@ TEST(ChannelBehavior, TurnaroundChargedOnDirectionFlip)
             return;
         const bool write = (i % 2) != 0;
         ++i;
-        mem.access(static_cast<Addr>(i) * kBlockBytes, write, step);
+        mem.access(static_cast<Addr>(i) * kBlockBytes, write,
+                   [&step] { step(); });
     };
     step();
     eq.run();

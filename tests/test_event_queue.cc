@@ -94,9 +94,9 @@ TEST(EventQueue, EventsMayScheduleEvents)
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 100)
-            eq.scheduleAfter(1, chain);
+            eq.scheduleAfter(1, [&chain] { chain(); });
     };
-    eq.schedule(0, chain);
+    eq.schedule(0, [&chain] { chain(); });
     eq.run();
     EXPECT_EQ(depth, 100);
     EXPECT_EQ(eq.now(), 99u);

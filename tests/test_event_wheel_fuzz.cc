@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -126,18 +127,23 @@ TEST(EventWheelFuzz, WindowBoundaryAndWrapDeltas)
     };
 
     auto runOn = [&](auto &eq) {
-        std::vector<std::pair<Tick, int>> log;
+        // One pointer to the log and the queue keeps the capture
+        // within the callback's 16 bytes.
+        struct Ctx
+        {
+            std::vector<std::pair<Tick, int>> log;
+            std::remove_reference_t<decltype(eq)> *q;
+        } ctx{{}, &eq};
         int id = 0;
         for (int round = 0; round < 3; ++round)
             for (Tick d : deltas) {
                 const int i = id++;
-                eq.schedule(eq.now() + d,
-                            [&log, &eq, i] {
-                                log.emplace_back(eq.now(), i);
-                            });
+                eq.schedule(eq.now() + d, [&ctx, i] {
+                    ctx.log.emplace_back(ctx.q->now(), i);
+                });
             }
         eq.run();
-        return log;
+        return ctx.log;
     };
 
     EventQueue wheel;

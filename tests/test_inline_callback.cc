@@ -1,18 +1,17 @@
 /**
  * @file
- * Unit tests for the small-buffer callback (common/inline_callback.hh):
- * captures on both sides of the inline/pooled boundary, move-only
- * payloads, lifetime accounting, and the pre-bound member form used by
- * recurring simulator events.
+ * Unit tests for the event payload (common/inline_callback.hh): its
+ * size and triviality, the empty states, a full 16-byte capture,
+ * copies, and the pre-bound member form used by recurring simulator
+ * events.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstddef>
-#include <memory>
-#include <utility>
+#include <cstdint>
+#include <type_traits>
 
+#include "common/event_queue.hh"
 #include "common/inline_callback.hh"
 
 namespace dapsim
@@ -20,60 +19,11 @@ namespace dapsim
 namespace
 {
 
-/** Payload of a given size whose constructions/destructions are
- *  counted, so leaks and double-destroys show up as imbalance. */
-template <std::size_t Bytes>
-struct Tracked
-{
-    static int live;
-    std::array<unsigned char, Bytes> pad{};
-    int *hits;
-
-    explicit Tracked(int *h) : hits(h) { ++live; }
-    Tracked(const Tracked &o) : pad(o.pad), hits(o.hits) { ++live; }
-    Tracked(Tracked &&o) noexcept : pad(o.pad), hits(o.hits) { ++live; }
-    ~Tracked() { --live; }
-
-    void operator()() { ++*hits; }
-};
-
-template <std::size_t Bytes>
-int Tracked<Bytes>::live = 0;
-
-template <std::size_t Bytes>
-void
-exerciseSize()
-{
-    int hits = 0;
-    {
-        InlineCallback cb{Tracked<Bytes>(&hits)};
-        ASSERT_TRUE(static_cast<bool>(cb));
-        cb();
-        cb();
-
-        // Move transfers the payload without duplicating it.
-        InlineCallback moved(std::move(cb));
-        EXPECT_FALSE(static_cast<bool>(cb));
-        moved();
-
-        InlineCallback assigned;
-        assigned = std::move(moved);
-        assigned();
-    }
-    EXPECT_EQ(hits, 4) << Bytes << "-byte capture";
-    EXPECT_EQ(Tracked<Bytes>::live, 0) << Bytes << "-byte capture";
-}
-
-TEST(InlineCallback, CapturesAcrossTheInlineBoundary)
-{
-    // kInlineCallbackBytes = 64: below, at, just above (pooled), and
-    // deep into the pooled range.
-    exerciseSize<16>();
-    exerciseSize<56>();
-    exerciseSize<64>();
-    exerciseSize<72>();
-    exerciseSize<200>();
-}
+static_assert(sizeof(InlineCallback) <= 24,
+              "an event payload is an invoke pointer + 16 bytes");
+static_assert(std::is_trivially_copyable_v<InlineCallback>);
+static_assert(std::is_trivially_destructible_v<InlineCallback>);
+static_assert(std::is_same_v<EventQueue::Callback, InlineCallback>);
 
 TEST(InlineCallback, EmptyStates)
 {
@@ -89,36 +39,46 @@ TEST(InlineCallback, EmptyStates)
     EXPECT_EQ(hits, 1);
     cb = nullptr;
     EXPECT_FALSE(static_cast<bool>(cb));
+    cb = [&hits] { ++hits; };
     cb.reset();
     EXPECT_FALSE(static_cast<bool>(cb));
+    EXPECT_EQ(hits, 1);
 }
 
-TEST(InlineCallback, MoveOnlyCapture)
+TEST(InlineCallback, FullSixteenByteCapture)
 {
-    // std::function rejects this; chained completion closures need it.
-    auto value = std::make_unique<int>(41);
+    // The `{this, id}` shape at its limit: two 8-byte words.
+    std::uint64_t sum = 0;
+    const std::uint64_t id = 0x1234'5678'9abc'def0ULL;
+    InlineCallback cb([p = &sum, id] { *p += id; });
+    cb();
+    EXPECT_EQ(sum, id);
+}
+
+TEST(InlineCallback, CopiesShareNothing)
+{
+    // A copy is a byte copy of the capture: both invoke the same
+    // target, and resetting one leaves the other intact.
+    int hits = 0;
+    InlineCallback a([&hits] { ++hits; });
+    InlineCallback b = a;
+    a.reset();
+    EXPECT_FALSE(static_cast<bool>(a));
+    ASSERT_TRUE(static_cast<bool>(b));
+    b();
+    InlineCallback c;
+    c = b;
+    c();
+    EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineCallback, MutableCaptureRunsThroughConstCall)
+{
     int seen = 0;
-    InlineCallback cb([v = std::move(value), &seen] { seen = *v + 1; });
-    InlineCallback moved(std::move(cb));
-    moved();
-    EXPECT_EQ(seen, 42);
-}
-
-TEST(InlineCallback, NestedCallbackChains)
-{
-    // A callback capturing another callback (the Done-chain shape:
-    // RobCore -> L3 -> MS$ -> channel). The outer capture exceeds the
-    // inline buffer and exercises the pooled path.
-    int fired = 0;
-    InlineCallback inner([&fired] { fired += 1; });
-    std::uint64_t salt = 7;
-    InlineCallback outer(
-        [&fired, salt, in = std::move(inner)] {
-            fired += static_cast<int>(salt);
-            in();
-        });
-    outer();
-    EXPECT_EQ(fired, 8);
+    const InlineCallback cb([n = 0, &seen]() mutable { seen = ++n; });
+    cb();
+    cb();
+    EXPECT_EQ(seen, 2);
 }
 
 struct RecurringCounter
@@ -130,7 +90,7 @@ struct RecurringCounter
 TEST(InlineCallback, PreBoundMemberReuse)
 {
     // The recurring-event form: re-created every period, captures one
-    // pointer, always inline. Simulate many reschedule rounds.
+    // pointer. Simulate many reschedule rounds.
     RecurringCounter rc;
     for (int i = 0; i < 1000; ++i) {
         InlineCallback cb =
@@ -140,17 +100,29 @@ TEST(InlineCallback, PreBoundMemberReuse)
     EXPECT_EQ(rc.ticks, 1000);
 }
 
-TEST(InlineCallback, PooledSlotsRecycle)
+TEST(InlineCallback, StateBeyondTheCaptureLivesInARecord)
 {
-    // Pooled captures must be allocation-free in steady state: destroy
-    // then re-create repeatedly; lifetime accounting stays balanced.
-    int hits = 0;
-    for (int i = 0; i < 1000; ++i) {
-        InlineCallback cb{Tracked<200>(&hits)};
-        cb();
-    }
-    EXPECT_EQ(hits, 1000);
-    EXPECT_EQ(Tracked<200>::live, 0);
+    // The idiom for larger state: park it in an index-addressed record
+    // and let the event name the record.
+    struct Rec
+    {
+        std::uint64_t a, b, c, d;
+    };
+    struct Owner
+    {
+        Rec recs[4]{};
+        std::uint64_t out = 0;
+        void fire(std::uint32_t id)
+        {
+            const Rec &r = recs[id];
+            out = r.a + r.b + r.c + r.d;
+        }
+    } owner;
+    owner.recs[2] = Rec{1, 2, 3, 4};
+    EventQueue eq;
+    eq.schedule(5, [o = &owner, id = std::uint32_t(2)] { o->fire(id); });
+    eq.run();
+    EXPECT_EQ(owner.out, 10u);
 }
 
 } // namespace

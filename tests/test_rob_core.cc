@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <queue>
 
 #include "cpu/rob_core.hh"
@@ -115,6 +116,8 @@ TEST(RobCore, MshrBoundLimitsOutstanding)
     cfg.instructions = 500;
     cfg.maxOutstanding = 2;
     int outstanding = 0, max_outstanding = 0, issued = 0;
+    // Completions park here; equal delays fire in issue order.
+    std::deque<EventQueue::Callback> parked;
     RobCore core(
         eq, cfg, 0,
         [&](TraceRequest &out) {
@@ -124,9 +127,12 @@ TEST(RobCore, MshrBoundLimitsOutstanding)
         [&](Addr, bool, EventQueue::Callback done) {
             ++outstanding;
             max_outstanding = std::max(max_outstanding, outstanding);
-            eq.scheduleAfter(1000, [&outstanding, done = std::move(done)] {
+            parked.push_back(done);
+            eq.scheduleAfter(1000, [&outstanding, &parked] {
                 --outstanding;
-                done();
+                const EventQueue::Callback next = parked.front();
+                parked.pop_front();
+                next();
             });
         });
     core.start();
