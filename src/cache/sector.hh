@@ -13,8 +13,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "cache/assoc_cache.hh"
-
 namespace dapsim
 {
 
@@ -63,43 +61,6 @@ struct SectorMeta
     std::uint32_t dirtyCount() const { return std::popcount(dirtyMask); }
     bool anyDirty() const { return dirtyMask != 0; }
 };
-
-/**
- * Functional warm-up touch of block @p blk of sector @p sec in a
- * sector directory whose tag is the full sector number (the sectored
- * DRAM cache and the eDRAM cache): allocate on a sector miss with the
- * footprint @p predictor's mask, teaching it the victim's used blocks,
- * then mark the block touched and valid (or dirty). No timing, no
- * statistics.
- *
- * @tparam Predictor provides predict(sec, blk) -> block mask and
- *         recordEviction(sec, used_mask)
- * @return whether the touch hit (block present before the touch)
- */
-template <typename Predictor>
-bool
-warmTouchSector(AssocCache<SectorMeta> &dir, Predictor &predictor,
-                std::uint64_t set, std::uint64_t sec, std::uint32_t blk,
-                bool is_write)
-{
-    SectorMeta *m = dir.find(set, sec);
-    const bool hit = m != nullptr && (is_write || m->isValid(blk));
-    if (m == nullptr) {
-        const std::uint64_t mask = predictor.predict(sec, blk);
-        auto victim = dir.insert(set, sec, SectorMeta{});
-        if (victim.valid)
-            predictor.recordEviction(victim.tag, victim.value.touchedMask);
-        m = dir.find(set, sec);
-        m->validMask = mask;
-    }
-    dir.touch(set, sec);
-    m->touch(blk);
-    if (is_write)
-        m->setDirty(blk);
-    else
-        m->setValid(blk);
-    return hit;
-}
 
 } // namespace dapsim
 

@@ -17,6 +17,16 @@ namespace dapsim::ckpt
 namespace
 {
 
+/** payloadSizeHint()'s share for a sectored MS$ (see below). */
+std::size_t
+sectoredSizeHint(const SectoredDramCacheConfig &c)
+{
+    std::size_t hint = c.numSectors() * (18 + 24);
+    if (!c.onDieTagCycles)
+        hint += c.tagCache.entries * 20;
+    return hint + c.footprint.tableEntries * 16;
+}
+
 /**
  * Rough lower bound on the System::save payload size, used to
  * pre-reserve the Serializer buffer so a multi-MB snapshot doesn't
@@ -33,20 +43,13 @@ payloadSizeHint(const SystemConfig &cfg)
     hint += l3Lines * 20;
     switch (cfg.arch) {
       case MsArch::Sectored:
-        hint += cfg.sectored.capacityBytes / cfg.sectored.sectorBytes *
-                (18 + 24);
-        hint += cfg.sectored.tagCache.entries * 20;
-        hint += cfg.sectored.footprint.tableEntries * 16;
-        break;
+        return hint + sectoredSizeHint(cfg.sectored);
       case MsArch::Alloy:
         hint += cfg.alloy.capacityBytes / kBlockBytes * 20;
         hint += cfg.alloy.predictorEntries;
         break;
       case MsArch::Edram:
-        hint += cfg.edram.capacityBytes / cfg.edram.sectorBytes *
-                (18 + 24);
-        hint += cfg.edram.footprint.tableEntries * 16;
-        break;
+        return hint + sectoredSizeHint(cfg.edram);
       case MsArch::None:
         break;
     }
@@ -84,6 +87,29 @@ putFootprint(Serializer &s, const FootprintConfig &c)
     s.u64(c.tableEntries);
     s.u32(c.coldRunLength);
     s.boolean(c.enabled);
+}
+
+/** Canonicalize a sectored MS$ config. Only the hardware it models is
+ *  written: a split write-channel set, and either the on-die tag
+ *  latency or the tag cache. */
+void
+putSectored(Serializer &s, const SectoredDramCacheConfig &c)
+{
+    s.u64(c.capacityBytes);
+    s.u32(c.ways);
+    s.u64(c.sectorBytes);
+    putDram(s, c.array);
+    if (c.writeChannels)
+        putDram(s, *c.writeChannels);
+    if (c.onDieTagCycles) {
+        s.u64(*c.onDieTagCycles);
+    } else {
+        s.u64(c.tagCache.entries);
+        s.u32(c.tagCache.ways);
+        s.u32(c.tagCache.lookupCycles);
+        s.boolean(c.tagCache.enabled);
+    }
+    putFootprint(s, c.footprint);
 }
 
 std::uint32_t
@@ -189,15 +215,7 @@ stateHash(const SystemConfig &cfg, const std::string &stream_desc,
     // Active architecture only: the inactive configs influence nothing.
     switch (cfg.arch) {
       case MsArch::Sectored:
-        s.u64(cfg.sectored.capacityBytes);
-        s.u32(cfg.sectored.ways);
-        s.u64(cfg.sectored.sectorBytes);
-        putDram(s, cfg.sectored.array);
-        s.u64(cfg.sectored.tagCache.entries);
-        s.u32(cfg.sectored.tagCache.ways);
-        s.u32(cfg.sectored.tagCache.lookupCycles);
-        s.boolean(cfg.sectored.tagCache.enabled);
-        putFootprint(s, cfg.sectored.footprint);
+        putSectored(s, cfg.sectored);
         break;
       case MsArch::Alloy:
         s.u64(cfg.alloy.capacityBytes);
@@ -211,13 +229,7 @@ stateHash(const SystemConfig &cfg, const std::string &stream_desc,
         s.u64(cfg.alloy.predictorEntries);
         break;
       case MsArch::Edram:
-        s.u64(cfg.edram.capacityBytes);
-        s.u32(cfg.edram.ways);
-        s.u64(cfg.edram.sectorBytes);
-        putDram(s, cfg.edram.readChannels);
-        putDram(s, cfg.edram.writeChannels);
-        s.u64(cfg.edram.tagLookupCycles);
-        putFootprint(s, cfg.edram.footprint);
+        putSectored(s, cfg.edram);
         break;
       case MsArch::None:
         break;

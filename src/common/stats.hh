@@ -68,39 +68,6 @@ class Average
     std::uint64_t count_ = 0;
 };
 
-/** Histogram with uniform buckets over [0, max); overflow in last bucket. */
-class Histogram
-{
-  public:
-    Histogram(double max = 1.0, std::size_t buckets = 16)
-        : max_(max), buckets_(buckets, 0)
-    {
-    }
-
-    void
-    sample(double v)
-    {
-        std::size_t i =
-            v >= max_ ? buckets_.size() - 1
-                      : static_cast<std::size_t>(v / max_ * buckets_.size());
-        if (i >= buckets_.size())
-            i = buckets_.size() - 1;
-        ++buckets_[i];
-        ++count_;
-        sum_ += v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-  private:
-    double max_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-};
-
 /**
  * Named collection of stats owned by a component.
  *

@@ -11,6 +11,7 @@ AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
       dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3),
       predDiv_(FastDiv::of(cfg.predictorEntries))
 {
+    addArray("msArray", array_);
 }
 
 double

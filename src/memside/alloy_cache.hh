@@ -58,7 +58,6 @@ class AlloyCache final : public MemSideCache
 
     void handleRead(Addr addr, Done done) override;
     void handleWrite(Addr addr) override;
-    std::uint64_t arrayCasOps() const override { return array_.casOps(); }
 
     DramSystem &array() { return array_; }
     DirtyBitCache &dbc() { return dbc_; }
@@ -71,9 +70,10 @@ class AlloyCache final : public MemSideCache
     bool warmTouch(Addr addr, bool is_write) override;
 
     void
-    creditFastForward(std::uint64_t reads, std::uint64_t writes) override
+    resetWarmupStats() override
     {
-        array_.creditFastForward(reads, writes);
+        dbc_.hits.reset();
+        dbc_.misses.reset();
     }
 
     void save(ckpt::Serializer &s) const override;

@@ -15,6 +15,24 @@ MemSideCache::MemSideCache(EventQueue &eq, DramSystem &main_memory,
 
 MemSideCache::~MemSideCache() = default;
 
+std::uint64_t
+MemSideCache::arrayCasOps() const
+{
+    std::uint64_t n = 0;
+    for (const NamedArray &a : arrays_)
+        n += a.dram->casOps();
+    return n;
+}
+
+void
+MemSideCache::creditFastForward(std::uint64_t reads, std::uint64_t writes)
+{
+    if (arrays_.empty())
+        return;
+    arrays_.front().dram->creditFastForward(reads, 0);
+    arrays_.back().dram->creditFastForward(0, writes);
+}
+
 std::uint32_t
 MemSideCache::openRead(Addr addr, Done done)
 {

@@ -24,6 +24,8 @@
 namespace dapsim
 {
 
+class TagCache;
+
 /** Abstract memory-side cache controller. */
 class MemSideCache
 {
@@ -45,8 +47,28 @@ class MemSideCache
     /** A write (L3 dirty eviction) arriving from the SRAM hierarchy. */
     virtual void handleWrite(Addr addr) = 0;
 
-    /** Number of 64B CAS operations the cache array has performed. */
-    virtual std::uint64_t arrayCasOps() const = 0;
+    /** Number of 64B CAS operations the cache arrays have performed. */
+    virtual std::uint64_t arrayCasOps() const;
+
+    /** One DRAM channel set of the MS$, under its stats-row name. */
+    struct NamedArray
+    {
+        const char *name;
+        DramSystem *dram;
+    };
+
+    /** The MS$'s DRAM channel sets: "msArray", or "msReadArray" then
+     *  "msWriteArray" when reads and writes use separate channels.
+     *  Empty for an MS$ without an array. */
+    const std::vector<NamedArray> &arrays() const { return arrays_; }
+
+    /** The SRAM tag cache in front of array-resident metadata, whose
+     *  statistics the MS$ reports; nullptr when there is none. */
+    virtual const TagCache *tagCacheStats() const { return nullptr; }
+
+    /** Forget what the functional warm-up did to predictor statistics
+     *  (tag cache, dirty-bit cache). Default: nothing to forget. */
+    virtual void resetWarmupStats() {}
 
     /** Write back dirty blocks of a region and mark them clean (SBD
      *  forced cleaning). Default: no-op. */
@@ -68,14 +90,11 @@ class MemSideCache
      * Fast-forward bypass accounting: fold modeled array CAS counts
      * from an analytically priced interval into arrayCasOps() so
      * delivered-bandwidth statistics cover fast-forwarded traffic.
-     * Timing and directory state are untouched. Default: no-op
-     * (MS$-less systems have no array). Never called in exact
-     * fidelity.
+     * Reads go to the first channel set and writes to the last (the
+     * same one unless split). Timing and directory state are
+     * untouched. Never called in exact fidelity.
      */
-    virtual void creditFastForward(std::uint64_t /*reads*/,
-                                   std::uint64_t /*writes*/)
-    {
-    }
+    void creditFastForward(std::uint64_t reads, std::uint64_t writes);
 
     /**
      * Functional policy warm-up at a sampled window entry: feed one
@@ -230,6 +249,13 @@ class MemSideCache
      *  one releases the record. */
     void settleRead(std::uint32_t id);
 
+    /** Register a DRAM channel set for arrays() (construction only). */
+    void
+    addArray(const char *name, DramSystem &dram)
+    {
+        arrays_.push_back({name, &dram});
+    }
+
     /** Shared part of save()/restore() for derived classes. */
     void saveBase(ckpt::Serializer &s) const;
     void restoreBase(ckpt::Deserializer &d);
@@ -253,6 +279,8 @@ class MemSideCache
 
   private:
     void windowTick();
+
+    std::vector<NamedArray> arrays_;
 
     bool windowsRunning_ = false;
     Cycle windowCycles_ = 0;

@@ -3,6 +3,19 @@
 namespace dapsim
 {
 
+SectoredDramCacheConfig
+edramCacheConfig()
+{
+    SectoredDramCacheConfig cfg;
+    cfg.capacityBytes = 4 * kMiB;
+    cfg.ways = 16;
+    cfg.sectorBytes = 1 * kKiB;
+    cfg.array = presets::edram_dir_51();
+    cfg.writeChannels = presets::edram_dir_51();
+    cfg.onDieTagCycles = 8;
+    return cfg;
+}
+
 SectoredDramCache::SectoredDramCache(EventQueue &eq,
                                      DramSystem &main_memory,
                                      PartitionPolicy &policy,
@@ -11,10 +24,20 @@ SectoredDramCache::SectoredDramCache(EventQueue &eq,
       secDiv_(FastDiv::of(cfg.sectorBytes)),
       wayDiv_(FastDiv::of(cfg.ways)),
       array_(eq, cfg.array),
+      writeChannels_(cfg.writeChannels ? std::make_unique<DramSystem>(
+                                             eq, *cfg.writeChannels)
+                                       : nullptr),
+      writeArray_(writeChannels_ ? writeChannels_.get() : &array_),
       dir_(cfg.numSets(), cfg.ways, ReplPolicy::NRU),
       tagCache_(cfg.tagCache),
       footprint_(cfg.footprint, cfg.blocksPerSector())
 {
+    if (writeChannels_) {
+        addArray("msReadArray", array_);
+        addArray("msWriteArray", *writeChannels_);
+    } else {
+        addArray("msArray", array_);
+    }
 }
 
 Addr
@@ -39,6 +62,8 @@ SectoredDramCache::metaAddr(std::uint64_t set) const
 void
 SectoredDramCache::markMetaDirty(std::uint64_t set)
 {
+    if (cfg_.onDieTagCycles)
+        return; // on-die tags are updated in place
     if (cfg_.tagCache.enabled) {
         tagCache_.markDirty(set);
     } else {
@@ -56,6 +81,14 @@ SectoredDramCache::issueMetaWrite(std::uint64_t set)
 void
 SectoredDramCache::lookupTags(Addr addr, std::uint32_t id)
 {
+    if (cfg_.onDieTagCycles) {
+        // On-die SRAM tags: pure latency, no array bandwidth.
+        if (id != kNoRead)
+            eq_.scheduleAfter(
+                cpuCyclesToTicks(*cfg_.onDieTagCycles),
+                readEvent<&SectoredDramCache::resolveRead>(this, id));
+        return;
+    }
     const std::uint64_t set = setOf(sectorNumber(addr));
     const TagCache::LookupResult tc = tagCache_.access(set);
     if (tc.writebackNeeded)
@@ -146,7 +179,7 @@ SectoredDramCache::resolveRead(std::uint32_t id)
         // Read hit.
         readHits.inc();
         window_.hits++;
-        window_.aMs++; // data-read demand on the cache
+        demandRead();
         dir_.touch(set, tag);
         m->touch(blk);
         const bool clean = !m->isDirty(blk);
@@ -198,7 +231,7 @@ SectoredDramCache::resolveRead(std::uint32_t id)
     if (spec) {
         // The SFRM read doubles as the demand fetch.
         if (fill)
-            array_.access(dataAddr(sec, blk), true);
+            writeArray_->access(dataAddr(sec, blk), true);
         r.needMem = true;
         if (r.memDone)
             completeRead(id);
@@ -216,7 +249,7 @@ SectoredDramCache::missDone(std::uint32_t id)
 {
     const ReadRec &r = readRec(id);
     if (r.fill)
-        array_.access(dataAddr(r.sec, r.blk), true);
+        writeArray_->access(dataAddr(r.sec, r.blk), true);
     completeRead(id);
 }
 
@@ -227,7 +260,7 @@ SectoredDramCache::launchFill(std::uint64_t sec, std::uint32_t blk)
     // directory is updated immediately (no duplicate in-flight misses);
     // the array write bandwidth is charged when the data arrives.
     window_.readMisses++; // fill candidate (R_m)
-    window_.aMs++;        // prospective fill-write demand
+    demandWrite();        // prospective fill-write demand
     const std::uint64_t set = setOf(sec);
     SectorMeta *m = dir_.find(set, tagOf(sec));
     if (m == nullptr)
@@ -256,7 +289,7 @@ SectoredDramCache::writebackVictim(std::uint64_t set,
         if (!meta.isDirty(b))
             continue;
         // Dirty block: read it out of the array, then write to memory.
-        window_.aMs++; // eviction read demand
+        demandRead();  // eviction read demand
         window_.aMm++; // write-back demand
         const Addr waddr = vsec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
@@ -298,7 +331,7 @@ SectoredDramCache::allocateSector(std::uint64_t sec, std::uint32_t blk)
         const Addr baddr = sec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
         memAccess(baddr, false, [this, daddr = dataAddr(sec, b)] {
-            array_.access(daddr, true);
+            writeArray_->access(daddr, true);
         }, /*low_priority=*/true);
     }
     return demand_fill;
@@ -320,7 +353,7 @@ SectoredDramCache::handleWrite(Addr addr)
     }
 
     policy_.noteWrite(addr);
-    window_.aMs++;   // write demand on the cache
+    demandWrite();
     window_.writes++;
 
     // Writes are posted: tag lookup bandwidth is charged, but the
@@ -345,7 +378,7 @@ SectoredDramCache::handleWrite(Addr addr)
         }
         m->setDirty(blk);
         markMetaDirty(set);
-        array_.access(dataAddr(sec, blk), true);
+        writeArray_->access(dataAddr(sec, blk), true);
         if (policy_.shouldWriteThrough(addr)) {
             // SBD write-through mode: memory stays current, line clean.
             memAccess(addr, true);
@@ -375,17 +408,38 @@ SectoredDramCache::handleWrite(Addr addr)
     } else {
         nm->setDirty(blk);
     }
-    array_.access(dataAddr(sec, blk), true);
+    writeArray_->access(dataAddr(sec, blk), true);
 }
 
 bool
 SectoredDramCache::warmTouch(Addr addr, bool is_write)
 {
+    // Allocate on a sector miss with the footprint prediction (teaching
+    // the predictor the victim's used blocks), then mark the block
+    // touched and valid or dirty. No timing, no statistics.
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
-    tagCache_.access(set); // warm the tag cache (stats reset later)
-    return warmTouchSector(dir_, footprint_, set, sec, blkOf(addr),
-                           is_write);
+    const std::uint32_t blk = blkOf(addr);
+    if (!cfg_.onDieTagCycles)
+        tagCache_.access(set); // warm the tag cache (stats reset later)
+    SectorMeta *m = dir_.find(set, tagOf(sec));
+    const bool hit = m != nullptr && (is_write || m->isValid(blk));
+    if (m == nullptr) {
+        const std::uint64_t mask = footprint_.predict(sec, blk);
+        auto victim = dir_.insert(set, tagOf(sec), SectorMeta{});
+        if (victim.valid)
+            footprint_.recordEviction(sectorNumberFrom(set, victim.tag),
+                                      victim.value.touchedMask);
+        m = dir_.find(set, tagOf(sec));
+        m->validMask = mask;
+    }
+    dir_.touch(set, tagOf(sec));
+    m->touch(blk);
+    if (is_write)
+        m->setDirty(blk);
+    else
+        m->setValid(blk);
+    return hit;
 }
 
 bool
@@ -407,7 +461,7 @@ SectoredDramCache::cleanSector(Addr addr_in_sector)
     for (std::uint32_t b = 0; b < cfg_.blocksPerSector(); ++b) {
         if (!m->isDirty(b))
             continue;
-        window_.aMs++;
+        demandRead();
         window_.aMm++;
         const Addr waddr = sec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
@@ -430,19 +484,36 @@ SectoredDramCache::flushSet(std::uint64_t set)
 }
 
 void
+SectoredDramCache::resetWarmupStats()
+{
+    tagCache_.hits.reset();
+    tagCache_.misses.reset();
+    tagCache_.writebacks.reset();
+}
+
+// On-die-tag checkpoints keep the layout they have always had: no tag
+// cache and no steer counters (which are zero at the tick-0 point
+// every checkpoint is taken at).
+
+void
 SectoredDramCache::save(ckpt::Serializer &s) const
 {
     saveBase(s);
     array_.save(s);
+    if (writeChannels_)
+        writeChannels_->save(s);
     dir_.save(s, [](ckpt::Serializer &sr, const SectorMeta &m) {
         sr.u64(m.validMask);
         sr.u64(m.dirtyMask);
         sr.u64(m.touchedMask);
     });
-    tagCache_.save(s);
+    if (!cfg_.onDieTagCycles)
+        tagCache_.save(s);
     footprint_.save(s);
-    s.u64(steeredToMemory.value());
-    s.u64(steerOverridden.value());
+    if (!cfg_.onDieTagCycles) {
+        s.u64(steeredToMemory.value());
+        s.u64(steerOverridden.value());
+    }
 }
 
 void
@@ -450,15 +521,20 @@ SectoredDramCache::restore(ckpt::Deserializer &d)
 {
     restoreBase(d);
     array_.restore(d);
+    if (writeChannels_)
+        writeChannels_->restore(d);
     dir_.restore(d, [](ckpt::Deserializer &dr, SectorMeta &m) {
         m.validMask = dr.u64();
         m.dirtyMask = dr.u64();
         m.touchedMask = dr.u64();
     });
-    tagCache_.restore(d);
+    if (!cfg_.onDieTagCycles)
+        tagCache_.restore(d);
     footprint_.restore(d);
-    steeredToMemory.set(d.u64());
-    steerOverridden.set(d.u64());
+    if (!cfg_.onDieTagCycles) {
+        steeredToMemory.set(d.u64());
+        steerOverridden.set(d.u64());
+    }
 }
 
 } // namespace dapsim

@@ -1,22 +1,34 @@
 /**
  * @file
- * Sectored die-stacked DRAM cache (paper Sections II, IV-A, VI-A).
+ * Sectored memory-side cache controller (paper Sections II, IV-A,
+ * IV-C, VI-A, VI-C).
  *
- * A 4-way set-associative cache with 4 KB sectors, NRU replacement,
- * metadata resident in the DRAM array (filtered by an SRAM tag cache),
- * footprint-prefetcher fills, and a single bidirectional set of HBM
- * channels serving reads, writes, fills, evictions and metadata.
+ * One controller models both sectored architectures of the paper; they
+ * differ only in hardware the configuration describes:
  *
- * All of DAP's four techniques apply here: FWB on fills, WB on incoming
- * dirty L3 evictions, IFRM on known-clean read hits, SFRM on reads that
- * miss the tag cache. The controller also provides the hooks used by
- * the SBD and BATMAN comparison policies.
+ *  - Die-stacked HBM DRAM cache (the defaults): 4-way, 4 KB sectors,
+ *    metadata resident in the DRAM array (filtered by an SRAM tag
+ *    cache), and one bidirectional set of HBM channels serving reads,
+ *    writes, fills, evictions and metadata.
+ *  - eDRAM cache (edramCacheConfig()): 16-way, 1 KB sectors, metadata
+ *    in on-die SRAM (fixed lookup latency, no metadata CAS traffic,
+ *    hence no SFRM), and split channel sets: fills and incoming writes
+ *    use the write channels, hits and eviction read-outs the read
+ *    channels, so DAP sees three bandwidth sources and uses its
+ *    three-source solver.
+ *
+ * Both use NRU replacement and footprint-prefetcher fills. DAP's FWB,
+ * WB and IFRM apply to both, SFRM only where metadata must be fetched
+ * from the array. The controller also provides the hooks used by the
+ * SBD and BATMAN comparison policies.
  */
 
 #ifndef DAPSIM_MEMSIDE_SECTORED_DRAM_CACHE_HH
 #define DAPSIM_MEMSIDE_SECTORED_DRAM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 
 #include "cache/assoc_cache.hh"
 #include "cache/sector.hh"
@@ -28,7 +40,7 @@
 namespace dapsim
 {
 
-/** Configuration of the sectored DRAM cache. */
+/** Configuration of a sectored memory-side cache. */
 struct SectoredDramCacheConfig
 {
     /** Scaled default: 64 MB stands in for the paper's 4 GB. */
@@ -36,9 +48,20 @@ struct SectoredDramCacheConfig
     std::uint32_t ways = 4;
     std::uint64_t sectorBytes = 4 * kKiB;
 
+    /** The cache's DRAM channels; with writeChannels set they serve
+     *  only reads (hits and eviction read-outs). */
     DramConfig array = presets::hbm_102();
     TagCacheConfig tagCache{};
     FootprintConfig footprint{};
+
+    /** Metadata in on-die SRAM: each lookup takes this many CPU cycles
+     *  and no array bandwidth (tagCache is unused). Unset: metadata
+     *  lives in the array behind the tag cache. */
+    std::optional<Cycle> onDieTagCycles;
+
+    /** A separate channel set for fills and incoming writes. Unset:
+     *  one bidirectional channel set. */
+    std::optional<DramConfig> writeChannels;
 
     std::uint64_t numSectors() const { return capacityBytes / sectorBytes; }
     std::uint64_t numSets() const { return numSectors() / ways; }
@@ -49,7 +72,14 @@ struct SectoredDramCacheConfig
     }
 };
 
-/** The sectored DRAM cache controller. */
+/**
+ * The sectored eDRAM cache: 16-way, 1 KB sectors, 8-cycle on-die tags,
+ * 51.2 GB/s read and write channel sets. Scaled: 4 MB stands in for
+ * the paper's 256 MB.
+ */
+SectoredDramCacheConfig edramCacheConfig();
+
+/** The sectored memory-side cache controller. */
 class SectoredDramCache final : public MemSideCache
 {
   public:
@@ -59,18 +89,11 @@ class SectoredDramCache final : public MemSideCache
 
     void handleRead(Addr addr, Done done) override;
     void handleWrite(Addr addr) override;
-    std::uint64_t arrayCasOps() const override { return array_.casOps(); }
 
+    /** The channels serving reads (all traffic unless split). */
     DramSystem &array() { return array_; }
     TagCache &tagCache() { return tagCache_; }
     const SectoredDramCacheConfig &config() const { return cfg_; }
-
-    /** Peak array bandwidth in accesses per CPU cycle (for DapConfig). */
-    double
-    arrayPeakAccPerCycle() const
-    {
-        return cfg_.array.peakAccessesPerCpuCycle();
-    }
 
     /** Write back all dirty blocks of a sector and mark them clean
      *  (SBD forced cleaning). No-op if the sector is absent. */
@@ -83,11 +106,12 @@ class SectoredDramCache final : public MemSideCache
     void flushSetImpl(std::uint64_t set) override { flushSet(set); }
     bool warmTouch(Addr addr, bool is_write) override;
 
-    void
-    creditFastForward(std::uint64_t reads, std::uint64_t writes) override
+    const TagCache *
+    tagCacheStats() const override
     {
-        array_.creditFastForward(reads, writes);
+        return cfg_.onDieTagCycles ? nullptr : &tagCache_;
     }
+    void resetWarmupStats() override;
 
     /** Test/diagnostic probe: is this block valid in the cache? */
     bool isBlockResident(Addr addr) const;
@@ -130,6 +154,23 @@ class SectoredDramCache final : public MemSideCache
     /** DRAM-array address of a set's metadata block. */
     Addr metaAddr(std::uint64_t set) const;
 
+    /** Count one array read / write toward the window's MS$ demand
+     *  (per direction too when the channels are split). */
+    void
+    demandRead()
+    {
+        window_.aMs++;
+        if (cfg_.writeChannels)
+            window_.aMsRead++;
+    }
+    void
+    demandWrite()
+    {
+        window_.aMs++;
+        if (cfg_.writeChannels)
+            window_.aMsWrite++;
+    }
+
     /** Resolve read @p id once the tag state is known. */
     void resolveRead(std::uint32_t id);
 
@@ -168,6 +209,10 @@ class SectoredDramCache final : public MemSideCache
     /** Frame selection by cfg_.ways (see dataAddr). */
     FastDiv wayDiv_;
     DramSystem array_;
+    /** The write channels, when cfg_.writeChannels splits them off. */
+    std::unique_ptr<DramSystem> writeChannels_;
+    /** Where fills and writes go: writeChannels_ or array_. */
+    DramSystem *writeArray_;
     AssocCache<SectorMeta> dir_;
     TagCache tagCache_;
     FootprintPrefetcher footprint_;

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "memside/sectored_dram_cache.hh"
+#include "cache/tag_cache.hh"
 #include "sim/system.hh"
 
 namespace dapsim
@@ -88,8 +88,8 @@ harvest(System &sys, const std::string &mix_name)
         r.l3Mpki = static_cast<double>(sys.l3().misses.value()) *
                    1000.0 / static_cast<double>(total_instr);
 
-    if (auto *sc = dynamic_cast<SectoredDramCache *>(ms))
-        r.tagCacheMissRatio = sc->tagCache().missRatio();
+    if (const TagCache *tc = ms->tagCacheStats())
+        r.tagCacheMissRatio = tc->missRatio();
 
     const double seconds = static_cast<double>(last_finish) /
                            static_cast<double>(kPsPerSecond);

@@ -61,11 +61,8 @@ edramSystem8(std::uint64_t capacity_mb)
     cfg.l3.capacityBytes = 1 * kMiB;
     cfg.arch = MsArch::Edram;
 
+    // The rest of the geometry is edramCacheConfig()'s.
     cfg.edram.capacityBytes = capacity_mb * kMiB; // 4 MB ~ 256 MB
-    cfg.edram.ways = 16;
-    cfg.edram.sectorBytes = 1 * kKiB;
-    cfg.edram.readChannels = dapsim::presets::edram_dir_51();
-    cfg.edram.writeChannels = dapsim::presets::edram_dir_51();
 
     cfg.mainMemory = dapsim::presets::ddr4_2400();
     cfg.policy = PolicyKind::Baseline;

@@ -30,8 +30,6 @@ class NullMsCache final : public MemSideCache
         writeMisses.inc();
         memAccess(addr, true);
     }
-
-    std::uint64_t arrayCasOps() const override { return 0; }
 };
 
 } // namespace
@@ -67,7 +65,7 @@ msPeakAccPerCycle(const SystemConfig &cfg)
                (data_clocks + a.tadExtraClocks);
       }
       case MsArch::Edram:
-        return cfg.edram.readChannels.peakAccessesPerCpuCycle();
+        return cfg.edram.array.peakAccessesPerCpuCycle();
       case MsArch::None:
         return 0.0;
     }
@@ -158,7 +156,8 @@ System::deriveDapConfig()
       case MsArch::Edram:
         cfg_.dap.arch = DapConfig::Arch::Edram;
         cfg_.dap.msWritePeakAccPerCycle =
-            cfg_.edram.writeChannels.peakAccessesPerCpuCycle();
+            cfg_.edram.writeChannels.value_or(cfg_.edram.array)
+                .peakAccessesPerCpuCycle();
         break;
       case MsArch::None:
         break;
@@ -226,8 +225,8 @@ System::buildMsCache()
                                            cfg_.alloy);
         break;
       case MsArch::Edram:
-        ms_ = std::make_unique<EdramCache>(eq_, *mm_, *policy_,
-                                           cfg_.edram);
+        ms_ = std::make_unique<SectoredDramCache>(eq_, *mm_, *policy_,
+                                                  cfg_.edram);
         break;
       case MsArch::None:
         ms_ = std::make_unique<NullMsCache>(eq_, *mm_, *policy_);
@@ -253,14 +252,8 @@ System::setupObservability()
         mm_->setBusTrace(ct, "mainMemory");
         if (remote_)
             remote_->setBusTrace(ct, "remote");
-        if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get()))
-            sc->array().setBusTrace(ct, "msArray");
-        if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get()))
-            ac->array().setBusTrace(ct, "msArray");
-        if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-            ec->readArray().setBusTrace(ct, "msReadArray");
-            ec->writeArray().setBusTrace(ct, "msWriteArray");
-        }
+        for (const MemSideCache::NamedArray &a : ms_->arrays())
+            a.dram->setBusTrace(ct, a.name);
     }
 
     if (obs_->dapTrace())
@@ -450,15 +443,7 @@ System::warmup(std::uint64_t accesses_per_core)
 {
     warm::pipelinedWarmup(gens_, *l3_, *ms_, accesses_per_core);
     // Warm-up must not leak into the reported predictor statistics.
-    if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
-        sc->tagCache().hits.reset();
-        sc->tagCache().misses.reset();
-        sc->tagCache().writebacks.reset();
-    }
-    if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get())) {
-        ac->dbc().hits.reset();
-        ac->dbc().misses.reset();
-    }
+    ms_->resetWarmupStats();
 }
 
 namespace
@@ -546,17 +531,10 @@ System::dumpStats(std::ostream &os)
     os << "ms.dirtyWritebacks " << ms_->dirtyWritebacks.value() << '\n';
     os << "ms.mmCasFraction " << ms_->mainMemoryCasFraction() << '\n';
 
-    if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
-        os << "ms.tagCache.missRatio " << sc->tagCache().missRatio()
-           << '\n';
-        dumpDram(os, "msArray", sc->array(), elapsed);
-    }
-    if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get()))
-        dumpDram(os, "msArray", ac->array(), elapsed);
-    if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-        dumpDram(os, "msReadArray", ec->readArray(), elapsed);
-        dumpDram(os, "msWriteArray", ec->writeArray(), elapsed);
-    }
+    if (const TagCache *tc = ms_->tagCacheStats())
+        os << "ms.tagCache.missRatio " << tc->missRatio() << '\n';
+    for (const MemSideCache::NamedArray &a : ms_->arrays())
+        dumpDram(os, a.name, *a.dram, elapsed);
     dumpDram(os, "mainMemory", *mm_, elapsed);
 
     if (remote_) {
@@ -824,15 +802,9 @@ System::sourceSnapshot() const
     SourceSnapshot out;
     for (const auto &c : cores_)
         out.retired += c->retiredInstructions();
-    if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
-        out.msReads = sc->array().casReads();
-        out.msWrites = sc->array().casWrites();
-    } else if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get())) {
-        out.msReads = ac->array().casReads();
-        out.msWrites = ac->array().casWrites();
-    } else if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-        out.msReads = ec->readArray().casOps();
-        out.msWrites = ec->writeArray().casOps();
+    for (const MemSideCache::NamedArray &a : ms_->arrays()) {
+        out.msReads += a.dram->casReads();
+        out.msWrites += a.dram->casWrites();
     }
     out.mmReads = mm_->casReads();
     out.mmWrites = mm_->casWrites();

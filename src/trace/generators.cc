@@ -72,14 +72,6 @@ SyntheticGenerator::next(TraceRequest &out)
     return true;
 }
 
-StreamKernelGenerator::StreamKernelGenerator(std::uint64_t footprint_bytes,
-                                             std::uint64_t gap, Addr base)
-    : footprint_(footprint_bytes / kBlockBytes), gap_(gap), base_(base)
-{
-    if (footprint_ == 0)
-        fatal("StreamKernelGenerator: footprint too small");
-}
-
 void
 SyntheticGenerator::save(ckpt::Serializer &s) const
 {
@@ -101,16 +93,6 @@ SyntheticGenerator::restore(ckpt::Deserializer &d)
     streamPtr_ = d.u64();
     runPtr_ = d.u64();
     runLeft_ = d.u32();
-}
-
-bool
-StreamKernelGenerator::next(TraceRequest &out)
-{
-    out.addr = base_ + ptr_ * kBlockBytes;
-    ptr_ = (ptr_ + 1) % footprint_;
-    out.isWrite = false;
-    out.instrGap = gap_;
-    return true;
 }
 
 } // namespace dapsim

@@ -88,30 +88,6 @@ class SyntheticGenerator final : public AccessGenerator
     double meanRun_;   ///< max(1, runLength)
 };
 
-/** A pure fixed-rate streaming reader (Figure 1's bandwidth kernel). */
-class StreamKernelGenerator final : public AccessGenerator
-{
-  public:
-    /**
-     * @param footprint_bytes array streamed through (wraps around)
-     * @param gap instruction gap between accesses (demand intensity)
-     * @param base address-space offset
-     */
-    StreamKernelGenerator(std::uint64_t footprint_bytes,
-                          std::uint64_t gap, Addr base);
-
-    bool next(TraceRequest &out) override;
-
-    void save(ckpt::Serializer &s) const override { s.u64(ptr_); }
-    void restore(ckpt::Deserializer &d) override { ptr_ = d.u64(); }
-
-  private:
-    std::uint64_t footprint_;
-    std::uint64_t gap_;
-    Addr base_;
-    Addr ptr_ = 0;
-};
-
 } // namespace dapsim
 
 #endif // DAPSIM_TRACE_GENERATORS_HH

@@ -58,15 +58,7 @@ warmup(const std::vector<AccessGenerator *> &gens, L3Cache &l3,
         }
     }
     // Warm-up must not leak into the reported predictor statistics.
-    if (auto *sc = dynamic_cast<SectoredDramCache *>(&ms)) {
-        sc->tagCache().hits.reset();
-        sc->tagCache().misses.reset();
-        sc->tagCache().writebacks.reset();
-    }
-    if (auto *ac = dynamic_cast<AlloyCache *>(&ms)) {
-        ac->dbc().hits.reset();
-        ac->dbc().misses.reset();
-    }
+    ms.resetWarmupStats();
 }
 
 /** The serial System::fastForward over @p gens. */

@@ -366,6 +366,32 @@ TEST(Ckpt, TieredDapRestoreIsBitIdentical)
     expectRestoreMatchesRun(cfg);
 }
 
+/**
+ * The warm payload layout is pinned: stores key warm-up files by
+ * stateHash alone, so a layout change that kept the hash would make
+ * existing files restore into the wrong fields. A deliberate layout
+ * change must also change the stateHash tag ("dapsim.ckpt.state.v1")
+ * and these constants.
+ */
+TEST(Ckpt, WarmPayloadLayoutIsPinned)
+{
+    const Mix mix = tinyMix("mcf");
+    const auto payloadHash = [&](const SystemConfig &cfg,
+                                 std::uint32_t version) {
+        return ckpt::fnv1a(
+            ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7, version)
+                .payload);
+    };
+    EXPECT_EQ(payloadHash(sectoredTiny(), ckpt::kVersionV1),
+              0x5f6d5cbf7bedf66cULL);
+    EXPECT_EQ(payloadHash(sectoredTiny(), ckpt::kVersionV2),
+              0xa947e5d1ee9d9748ULL);
+    EXPECT_EQ(payloadHash(edramTiny(), ckpt::kVersionV1),
+              0xb61931a41a976aeaULL);
+    EXPECT_EQ(payloadHash(edramTiny(), ckpt::kVersionV2),
+              0x8a297daa742ec50dULL);
+}
+
 TEST(Ckpt, RemoteMemoryMidRunRoundTripMatchesUninterrupted)
 {
     RemoteConfig rc;

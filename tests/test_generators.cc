@@ -113,22 +113,6 @@ TEST(SyntheticGenerator, HotRegionGetsMostAccesses)
     EXPECT_GT(static_cast<double>(hot) / n, 0.85);
 }
 
-TEST(StreamKernel, CyclesThroughArray)
-{
-    StreamKernelGenerator g(4 * kBlockBytes, 10, 0x1000);
-    TraceRequest r;
-    std::vector<Addr> seen;
-    for (int i = 0; i < 8; ++i) {
-        g.next(r);
-        seen.push_back(r.addr);
-        EXPECT_FALSE(r.isWrite);
-        EXPECT_EQ(r.instrGap, 10u);
-    }
-    EXPECT_EQ(seen[0], 0x1000u);
-    EXPECT_EQ(seen[3], 0x1000u + 3 * 64);
-    EXPECT_EQ(seen[4], 0x1000u); // wrapped
-}
-
 TEST(Workloads, RosterHasSeventeenNamedProfiles)
 {
     EXPECT_EQ(allWorkloads().size(), 17u);

@@ -58,8 +58,10 @@ TEST(Presets, EdramCapacityPoints)
     const SystemConfig cfg = presets::edramSystem8(4);
     EXPECT_EQ(cfg.edram.sectorBytes, 1 * kKiB);
     EXPECT_EQ(cfg.edram.ways, 16u);
-    EXPECT_NEAR(cfg.edram.readChannels.peakGBps(), 51.2, 1e-9);
-    EXPECT_NEAR(cfg.edram.writeChannels.peakGBps(), 51.2, 1e-9);
+    EXPECT_NEAR(cfg.edram.array.peakGBps(), 51.2, 1e-9);
+    ASSERT_TRUE(cfg.edram.writeChannels.has_value());
+    EXPECT_NEAR(cfg.edram.writeChannels->peakGBps(), 51.2, 1e-9);
+    EXPECT_EQ(cfg.edram.onDieTagCycles, Cycle{8});
 }
 
 TEST(Presets, SixteenCoreScalesEverything)

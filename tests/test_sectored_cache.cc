@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the sectored DRAM cache controller.
+ * Unit tests for the sectored memory-side cache controller, in both
+ * configurations it models: the HBM DRAM cache and the eDRAM cache.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +15,47 @@ namespace dapsim
 namespace
 {
 
-/** Fixture: cache + main memory on a private event queue. */
-class SectoredCacheTest : public ::testing::Test
+/** The sectored architectures under test. */
+enum class Arch
+{
+    Hbm,
+    Edram,
+};
+
+const char *
+archName(Arch arch)
+{
+    return arch == Arch::Hbm ? "Hbm" : "Edram";
+}
+
+void
+PrintTo(Arch arch, std::ostream *os)
+{
+    *os << archName(arch);
+}
+
+/** Small test geometries of the two architectures. */
+SectoredDramCacheConfig
+testConfig(Arch arch)
+{
+    if (arch == Arch::Edram) {
+        SectoredDramCacheConfig cfg = edramCacheConfig();
+        cfg.capacityBytes = 1 * kMiB;
+        return cfg;
+    }
+    SectoredDramCacheConfig cfg;
+    cfg.capacityBytes = 4 * kMiB; // small for tests
+    cfg.tagCache.entries = 64;
+    return cfg;
+}
+
+/** Cache + main memory on a private event queue. */
+class CacheHarness
 {
   protected:
-    SectoredCacheTest()
-        : mm(eq, presets::ddr4_2400())
+    explicit CacheHarness(Arch arch)
+        : mm(eq, presets::ddr4_2400()), cfg(testConfig(arch))
     {
-        cfg.capacityBytes = 4 * kMiB; // small for tests
-        cfg.tagCache.entries = 64;
     }
 
     SectoredDramCache &
@@ -50,6 +83,41 @@ class SectoredCacheTest : public ::testing::Test
     SectoredDramCacheConfig cfg;
     std::unique_ptr<SectoredDramCache> ms;
 };
+
+/** The HBM DRAM cache (metadata in the array, one channel set). */
+class SectoredCacheTest : public ::testing::Test, protected CacheHarness
+{
+  protected:
+    SectoredCacheTest() : CacheHarness(Arch::Hbm) {}
+};
+
+/** The eDRAM cache (on-die tags, split read/write channels). */
+class EdramCacheTest : public ::testing::Test, protected CacheHarness
+{
+  protected:
+    EdramCacheTest() : CacheHarness(Arch::Edram) {}
+
+    /** The write channels (cache().array() serves the reads). */
+    DramSystem &
+    writeArray()
+    {
+        return *cache().arrays().back().dram;
+    }
+};
+
+/** Policy hooks both architectures must honour. */
+class SectoredHookTest : public ::testing::TestWithParam<Arch>,
+                         protected CacheHarness
+{
+  protected:
+    SectoredHookTest() : CacheHarness(GetParam()) {}
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Arch, SectoredHookTest, ::testing::Values(Arch::Hbm, Arch::Edram),
+    [](const ::testing::TestParamInfo<Arch> &info) {
+        return archName(info.param);
+    });
 
 TEST_F(SectoredCacheTest, ColdReadMissesAndFills)
 {
@@ -195,12 +263,9 @@ TEST_F(SectoredCacheTest, SfrmServesCleanDataEarly)
     EXPECT_EQ(cache().speculativeWasted.value(), 0u);
 }
 
-TEST_F(SectoredCacheTest, DisabledSetServedByMemory)
+TEST_P(SectoredHookTest, DisabledSetServedByMemory)
 {
     read(0xA000);
-    const std::uint64_t set =
-        cache().config().numSets(); // compute via probe below
-    (void)set;
     // Disable every set: all traffic must go to memory.
     for (std::uint64_t s = 0; s < cfg.numSets(); ++s)
         policy.disabledSets.insert(s);
@@ -211,7 +276,7 @@ TEST_F(SectoredCacheTest, DisabledSetServedByMemory)
     EXPECT_EQ(cache().arrayCasOps(), array_cas);
 }
 
-TEST_F(SectoredCacheTest, SteerServesCleanBlocksFromMemory)
+TEST_P(SectoredHookTest, SteerServesCleanBlocksFromMemory)
 {
     read(0xC000);
     policy.steer = true;
@@ -221,7 +286,7 @@ TEST_F(SectoredCacheTest, SteerServesCleanBlocksFromMemory)
     EXPECT_GT(mm.casReads(), mm_reads);
 }
 
-TEST_F(SectoredCacheTest, SteerOverriddenForDirtyBlocks)
+TEST_P(SectoredHookTest, SteerOverriddenForDirtyBlocks)
 {
     cache().handleWrite(0xD000);
     eq.run();
@@ -231,7 +296,7 @@ TEST_F(SectoredCacheTest, SteerOverriddenForDirtyBlocks)
     EXPECT_EQ(cache().steeredToMemory.value(), 0u);
 }
 
-TEST_F(SectoredCacheTest, CleanSectorWritesDirtyBlocksBack)
+TEST_P(SectoredHookTest, CleanSectorWritesDirtyBlocksBack)
 {
     cache().handleWrite(0xE000);
     cache().handleWrite(0xE040);
@@ -242,6 +307,37 @@ TEST_F(SectoredCacheTest, CleanSectorWritesDirtyBlocksBack)
     // Blocks stay resident but clean.
     policy.forceReadMiss = false;
     read(0xE000);
+    EXPECT_EQ(cache().cleanReadHits.value(), 1u);
+}
+
+TEST_P(SectoredHookTest, FlushSetWritesDirtyBlocksBack)
+{
+    cache().handleWrite(0xE000);
+    cache().handleWrite(0xE040);
+    eq.run();
+    const std::uint64_t set =
+        indexHash(0xE000 / cfg.sectorBytes) % cfg.numSets();
+    cache().flushSet(set);
+    eq.run();
+    EXPECT_EQ(cache().dirtyWritebacks.value(), 2u);
+    EXPECT_EQ(cache().sectorEvictions.value(), 1u);
+    // The sector is gone: the next read misses.
+    EXPECT_FALSE(cache().isBlockResident(0xE000));
+    read(0xE000);
+    EXPECT_EQ(cache().readMisses.value(), 1u);
+}
+
+TEST_P(SectoredHookTest, WriteThroughKeepsBlocksClean)
+{
+    read(0xE800);
+    policy.writeThrough = true;
+    const auto mm_writes = mm.casWrites();
+    cache().handleWrite(0xE800);
+    eq.run();
+    EXPECT_GT(mm.casWrites(), mm_writes);
+    // Memory is current, so the later hit is clean.
+    read(0xE800);
+    EXPECT_EQ(cache().readHits.value(), 1u);
     EXPECT_EQ(cache().cleanReadHits.value(), 1u);
 }
 
@@ -305,6 +401,117 @@ TEST_F(SectoredCacheTest, HitRatioCombinesReadsAndWrites)
     cache().handleWrite(0x1000); // hit
     eq.run();
     EXPECT_NEAR(cache().hitRatio(), 2.0 / 3.0, 1e-9);
+}
+
+// eDRAM-specific behaviour: on-die tags and split channels.
+
+TEST_F(EdramCacheTest, SplitChannels)
+{
+    // A miss + fill consumes write-channel bandwidth only; the later
+    // hit consumes read-channel bandwidth only.
+    read(0x1000);
+    EXPECT_EQ(cache().array().casOps(), 0u);
+    EXPECT_GT(writeArray().casWrites(), 0u);
+    read(0x1000);
+    EXPECT_EQ(cache().array().casReads(), 1u);
+}
+
+TEST_F(EdramCacheTest, OneKiloByteSectors)
+{
+    EXPECT_EQ(cfg.blocksPerSector(), 16u);
+    read(0x2000);
+    // The cold footprint run cannot exceed the sector.
+    EXPECT_LE(cache().fills.value(), 16u);
+}
+
+TEST_F(EdramCacheTest, HitLatencyIncludesOnDieTagLookup)
+{
+    read(0x3000);
+    Tick start = eq.now();
+    Tick done_at = 0;
+    cache().handleRead(0x3000, [&] { done_at = eq.now(); });
+    eq.run();
+    EXPECT_GE(done_at - start, cpuCyclesToTicks(*cfg.onDieTagCycles));
+}
+
+TEST_F(EdramCacheTest, NoMetadataTrafficNoSfrm)
+{
+    policy.speculate = true; // would be SFRM on the DRAM cache
+    read(0x4000);
+    read(0x4000);
+    EXPECT_EQ(cache().speculativeReads.value(), 0u);
+    EXPECT_EQ(policy.sfrmAsked, 0);
+}
+
+TEST_F(EdramCacheTest, WritesGoToWriteChannels)
+{
+    cache().handleWrite(0x5000);
+    eq.run();
+    EXPECT_GT(writeArray().casWrites(), 0u);
+    EXPECT_EQ(cache().array().casOps(), 0u);
+}
+
+TEST_F(EdramCacheTest, EvictionReadsUseReadChannels)
+{
+    cache(); // construct
+    // Build dirty sectors that collide in one set until eviction.
+    const std::uint64_t target = 5;
+    std::vector<Addr> colliding;
+    for (std::uint64_t sec = 0;
+         colliding.size() < cfg.ways + 1; ++sec) {
+        if (indexHash(sec) % cfg.numSets() == target)
+            colliding.push_back(sec * cfg.sectorBytes);
+    }
+    for (Addr a : colliding) {
+        cache().handleWrite(a);
+        eq.run();
+    }
+    EXPECT_GE(cache().sectorEvictions.value(), 1u);
+    EXPECT_GT(cache().array().casReads(), 0u); // eviction read-out
+    EXPECT_GT(cache().dirtyWritebacks.value(), 0u);
+}
+
+TEST_F(EdramCacheTest, IfrmOnCleanHits)
+{
+    read(0x6000);
+    policy.forceReadMiss = true;
+    const auto mm_reads = mm.casReads();
+    const auto rd_cas = cache().array().casOps();
+    EXPECT_TRUE(read(0x6000));
+    EXPECT_EQ(cache().forcedReadMisses.value(), 1u);
+    EXPECT_GT(mm.casReads(), mm_reads);
+    EXPECT_EQ(cache().array().casOps(), rd_cas);
+}
+
+TEST_F(EdramCacheTest, FillBypassHonored)
+{
+    policy.bypassFill = true;
+    read(0x7000);
+    EXPECT_EQ(cache().fills.value(), 0u);
+    EXPECT_GT(cache().fillsBypassed.value(), 0u);
+    EXPECT_EQ(writeArray().casWrites(), 0u);
+}
+
+TEST_F(EdramCacheTest, WriteBypassInvalidates)
+{
+    read(0x8000);
+    policy.bypassWrite = true;
+    const auto mm_writes = mm.casWrites();
+    cache().handleWrite(0x8000);
+    eq.run();
+    EXPECT_GT(mm.casWrites(), mm_writes);
+    EXPECT_EQ(cache().writesBypassed.value(), 1u);
+    // Invalidated: the next read misses.
+    policy.bypassWrite = false;
+    read(0x8000);
+    EXPECT_EQ(cache().readMisses.value(), 2u);
+}
+
+TEST_F(EdramCacheTest, WarmTouchPrimes)
+{
+    cache().warmTouch(0x9000, false);
+    read(0x9000);
+    EXPECT_EQ(cache().readHits.value(), 1u);
 }
 
 } // namespace
