@@ -33,7 +33,7 @@ sectoredSizeHint(const SectoredDramCacheConfig &c)
  * realloc its way up from empty. Dominant terms: the MS$ sector/line
  * directory and the L3 directory (v1 per-line overhead is 18 bytes +
  * the value encoding; the estimate uses v1, the larger of the two
- * encodings).
+ * encodings). An Alloy frame is one 8-byte word in both.
  */
 std::size_t
 payloadSizeHint(const SystemConfig &cfg)
@@ -45,7 +45,7 @@ payloadSizeHint(const SystemConfig &cfg)
       case MsArch::Sectored:
         return hint + sectoredSizeHint(cfg.sectored);
       case MsArch::Alloy:
-        hint += cfg.alloy.capacityBytes / kBlockBytes * 20;
+        hint += cfg.alloy.capacityBytes / kBlockBytes * 8;
         hint += cfg.alloy.predictorEntries;
         break;
       case MsArch::Edram:
@@ -190,9 +190,14 @@ resolveWarmCount(const SystemConfig &cfg)
     return warm;
 }
 
+namespace
+{
+
+/** stateHash (@p layout_tags) or stateContentHash (not). */
 std::uint64_t
-stateHash(const SystemConfig &cfg, const std::string &stream_desc,
-          std::uint64_t seed_salt, std::uint64_t warm_per_core)
+hashState(const SystemConfig &cfg, const std::string &stream_desc,
+          std::uint64_t seed_salt, std::uint64_t warm_per_core,
+          bool layout_tags)
 {
     Serializer s;
     s.str("dapsim.ckpt.state.v1");
@@ -218,6 +223,12 @@ stateHash(const SystemConfig &cfg, const std::string &stream_desc,
         putSectored(s, cfg.sectored);
         break;
       case MsArch::Alloy:
+        // Layout tag of the Alloy "ms" section (one packed word per
+        // frame), so warm-up files of an earlier layout never restore
+        // into it. Job ids leave it out: an encoding change that keeps
+        // every result must not re-key experiments.
+        if (layout_tags)
+            s.str("alloy.frames.v1");
         s.u64(cfg.alloy.capacityBytes);
         putDram(s, cfg.alloy.array);
         s.u64(cfg.alloy.dbc.entries);
@@ -255,6 +266,22 @@ stateHash(const SystemConfig &cfg, const std::string &stream_desc,
 
     s.str(stream_desc);
     return fnv1a(s.buffer());
+}
+
+} // namespace
+
+std::uint64_t
+stateHash(const SystemConfig &cfg, const std::string &stream_desc,
+          std::uint64_t seed_salt, std::uint64_t warm_per_core)
+{
+    return hashState(cfg, stream_desc, seed_salt, warm_per_core, true);
+}
+
+std::uint64_t
+stateContentHash(const SystemConfig &cfg, const std::string &stream_desc,
+                 std::uint64_t seed_salt, std::uint64_t warm_per_core)
+{
+    return hashState(cfg, stream_desc, seed_salt, warm_per_core, false);
 }
 
 std::uint64_t

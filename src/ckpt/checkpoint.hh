@@ -21,7 +21,8 @@
  *  - stateHash covers everything the warm state depends on: the
  *    policy-invariant configuration (cores, caches, DRAM, prefetch),
  *    the access-stream description, the seed salt and the warm-up
- *    length. Warm-up never consults the partitioning policy, so a
+ *    length, plus a layout tag for each architecture whose payload
+ *    layout changed. Warm-up never consults the partitioning policy, so a
  *    checkpoint with a matching stateHash seeds ANY policy variant —
  *    the basis of the sweep runner's warmup-fork mode.
  *  - fullHash additionally covers the policy kind and its
@@ -133,6 +134,17 @@ std::uint64_t stateHash(const SystemConfig &cfg,
                         const std::string &stream_desc,
                         std::uint64_t seed_salt,
                         std::uint64_t warm_per_core);
+
+/**
+ * stateHash without the payload layout tags: the identity of the warm
+ * state's content rather than of its encoding. Job ids hash this, so
+ * a layout change that leaves every result bit-identical re-keys the
+ * warm-up files but not the experiments.
+ */
+std::uint64_t stateContentHash(const SystemConfig &cfg,
+                               const std::string &stream_desc,
+                               std::uint64_t seed_salt,
+                               std::uint64_t warm_per_core);
 
 /** stateHash extended with the policy kind and configuration. */
 std::uint64_t fullHash(std::uint64_t state_hash, const SystemConfig &cfg);

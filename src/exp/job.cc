@@ -117,9 +117,9 @@ jobContentHash(const JobSpec &spec)
         SystemConfig cfg = spec.cfg;
         cfg.policy = spec.policy;
         const std::uint64_t state =
-            ckpt::stateHash(cfg, ckpt::describeMix(spec.mix),
-                            spec.seedSalt,
-                            ckpt::resolveWarmCount(cfg));
+            ckpt::stateContentHash(cfg, ckpt::describeMix(spec.mix),
+                                   spec.seedSalt,
+                                   ckpt::resolveWarmCount(cfg));
         s.u64(state);
         s.u64(ckpt::fullHash(state, cfg));
         s.u64(spec.instr);

@@ -74,7 +74,8 @@ std::string hashHex(std::uint64_t h);
  *
  * Canonical serialization of everything that determines the job's
  * result: the policy-invariant configuration + access-stream
- * description + seed + warm-up length (ckpt::stateHash), the policy
+ * description + seed + warm-up length (ckpt::stateContentHash: a
+ * checkpoint layout change does not re-key jobs), the policy
  * kind and its configuration (ckpt::fullHash), the instruction budget,
  * and the knobs map. Independent of grid order, submission index,
  * display label, and observability settings, so rows of re-runs

@@ -1,13 +1,58 @@
 #include "memside/alloy_cache.hh"
 
+#include "common/log.hh"
+
 namespace dapsim
 {
+
+AlloyFrames::AlloyFrames(std::uint64_t sets)
+    : frames_(sets, 0), setDiv_(FastDiv::of(sets))
+{
+    if (sets == 0)
+        fatal("AlloyFrames: zero sets");
+}
+
+void
+AlloyFrames::save(ckpt::Serializer &s) const
+{
+    s.u64(frames_.size());
+    if (s.format() >= 2) {
+        s.u64Span(frames_.data(), frames_.size());
+        return;
+    }
+    for (const std::uint64_t w : frames_)
+        s.u64(w);
+}
+
+void
+AlloyFrames::restore(ckpt::Deserializer &d)
+{
+    if (d.u64() != frames_.size())
+        throw ckpt::CkptError("ckpt: Alloy frame count mismatch");
+    if (d.format() >= 2) {
+        d.u64Span(frames_.data(), frames_.size());
+    } else {
+        for (std::uint64_t &w : frames_)
+            w = d.u64();
+    }
+    // The lookup compare relies on reserved bits being zero, and an
+    // empty frame is the zero word: refuse anything else rather than
+    // restore a store whose hits are undefined.
+    for (const std::uint64_t w : frames_) {
+        if (w & kReserved)
+            throw ckpt::CkptError(
+                "ckpt: Alloy frame word has reserved bits set");
+        if (!valid(w) && w != 0)
+            throw ckpt::CkptError(
+                "ckpt: invalid Alloy frame carries a tag or dirty bit");
+    }
+}
 
 AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        PartitionPolicy &policy,
                        const AlloyCacheConfig &cfg)
     : MemSideCache(eq, main_memory, policy), cfg_(cfg),
-      array_(eq, cfg.array), dir_(cfg.numSets(), 1, ReplPolicy::LRU),
+      array_(eq, cfg.array), frames_(cfg.numSets()),
       dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3),
       predDiv_(FastDiv::of(cfg.predictorEntries))
 {
@@ -74,8 +119,9 @@ AlloyCache::handleRead(Addr addr, Done done)
         mm_.config().burstTicks()) + mm_.meanReadLatency();
     steer.predictedHit = predictHit(addr);
     if (policy_.steerToMemory(addr, steer)) {
-        const Line *l = dir_.find(set, tagOf(addr));
-        if (l == nullptr || !l->dirty) {
+        const std::uint64_t f = frames_[set];
+        if (!AlloyFrames::holds(f, blockNumber(addr)) ||
+            !AlloyFrames::dirty(f)) {
             memAccess(addr, false, done);
             return;
         }
@@ -90,8 +136,9 @@ AlloyCache::handleRead(Addr addr, Done done)
     if (probe.hit && !probe.dirty && policy_.shouldForceReadMiss(addr)) {
         forcedReadMisses.inc();
         window_.aMs++; // the TAD read this access would have demanded
-        const Line *l = dir_.find(set, tagOf(addr));
-        if (l != nullptr) {
+        const bool present =
+            AlloyFrames::holds(frames_[set], blockNumber(addr));
+        if (present) {
             readHits.inc();
             window_.hits++;
             cleanReadHits.inc();
@@ -102,7 +149,7 @@ AlloyCache::handleRead(Addr addr, Done done)
             window_.aMm++;
             fillsBypassed.inc();
         }
-        trainPredictor(addr, l != nullptr);
+        trainPredictor(addr, present);
         memAccess(addr, false, done);
         return;
     }
@@ -137,10 +184,8 @@ AlloyCache::resolveRead(std::uint32_t id)
 {
     const Addr addr = readRec(id).addr;
     const bool early = readRec(id).spec;
-    const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *l = dir_.find(set, tag);
-    const bool hit = l != nullptr;
+    const std::uint64_t f = frames_[setOf(addr)];
+    const bool hit = AlloyFrames::holds(f, blockNumber(addr));
     policy_.noteReadOutcome(addr, hit);
     trainPredictor(addr, hit);
     if (hit == !early)
@@ -151,11 +196,12 @@ AlloyCache::resolveRead(std::uint32_t id)
     if (hit) {
         readHits.inc();
         window_.hits++;
-        if (!l->dirty) {
+        const bool dirty = AlloyFrames::dirty(f);
+        if (!dirty) {
             cleanReadHits.inc();
             window_.cleanHits++;
         }
-        dbc_.update(blockNumber(addr), l->dirty);
+        dbc_.update(blockNumber(addr), dirty);
         if (early)
             wastedEarlyReads.inc(); // speculative memory read dropped
         completeRead(id); // data arrived with the TAD
@@ -176,10 +222,19 @@ AlloyCache::resolveRead(std::uint32_t id)
 }
 
 void
+AlloyCache::writeBackVictim(std::uint64_t victim)
+{
+    if (!AlloyFrames::dirty(victim))
+        return;
+    window_.aMm++;
+    dirtyWritebacks.inc();
+    memAccess(AlloyFrames::tagOf(victim) << kBlockShift, true);
+}
+
+void
 AlloyCache::fill(Addr addr)
 {
     const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
 
     if (policy_.shouldBypassFillForReuse(addr)) {
         fillsBypassed.inc();
@@ -188,13 +243,7 @@ AlloyCache::fill(Addr addr)
 
     // The victim's data came back with the lookup TAD, so a dirty
     // victim needs only the memory write.
-    auto victim = dir_.insert(set, tag, Line{});
-    if (victim.valid && victim.value.dirty) {
-        window_.aMm++;
-        dirtyWritebacks.inc();
-        const Addr vaddr = victim.tag << kBlockShift;
-        memAccess(vaddr, true);
-    }
+    writeBackVictim(frames_.install(set, blockNumber(addr)));
 
     fills.inc();
     window_.aMs++; // fill TAD write
@@ -205,17 +254,14 @@ AlloyCache::fill(Addr addr)
 bool
 AlloyCache::warmTouch(Addr addr, bool is_write)
 {
-    const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *l = dir_.find(set, tag);
-    const bool hit = l != nullptr;
-    if (l == nullptr) {
-        dir_.insert(set, tag, Line{}); // direct-mapped: replaces victim
-        l = dir_.find(set, tag);
-    }
+    const std::uint64_t block = blockNumber(addr);
+    std::uint64_t &f = frames_[frames_.setOf(block)];
+    const bool hit = AlloyFrames::holds(f, block);
+    if (!hit)
+        f = AlloyFrames::word(block, false); // replaces the victim
     if (is_write)
-        l->dirty = true;
-    dbc_.update(blockNumber(addr), l->dirty);
+        f |= AlloyFrames::kDirty;
+    dbc_.update(block, AlloyFrames::dirty(f));
     trainPredictor(addr, true);
     return hit;
 }
@@ -224,8 +270,8 @@ void
 AlloyCache::handleWrite(Addr addr)
 {
     window_.lookups++;
-    const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t block = blockNumber(addr);
+    const std::uint64_t set = frames_.setOf(block);
 
     if (policy_.isSetDisabled(set)) {
         writeMisses.inc();
@@ -236,8 +282,8 @@ AlloyCache::handleWrite(Addr addr)
     policy_.noteWrite(addr);
     window_.writes++;
 
-    Line *l = dir_.find(set, tag);
-    const bool present = l != nullptr;
+    std::uint64_t &f = frames_[set];
+    const bool present = AlloyFrames::holds(f, block);
 
     if (!present && !cfg_.presenceBit) {
         // Without the BEAR presence bit the TAD must be fetched to
@@ -251,8 +297,8 @@ AlloyCache::handleWrite(Addr addr)
         window_.hits++;
         window_.aMs++;
         const bool write_through = policy_.shouldWriteThrough(addr);
-        l->dirty = !write_through;
-        dbc_.update(blockNumber(addr), l->dirty);
+        f = AlloyFrames::word(block, !write_through);
+        dbc_.update(block, !write_through);
         array_.access(tadAddr(set), true, nullptr, cfg_.tadExtraClocks);
         if (write_through)
             memAccess(addr, true);
@@ -264,17 +310,10 @@ AlloyCache::handleWrite(Addr addr)
     writeMisses.inc();
     window_.aMs++;
     array_.access(tadAddr(set), false, nullptr, cfg_.tadExtraClocks);
-    auto victim = dir_.insert(set, tag, Line{});
-    if (victim.valid && victim.value.dirty) {
-        window_.aMm++;
-        dirtyWritebacks.inc();
-        const Addr vaddr = victim.tag << kBlockShift;
-        memAccess(vaddr, true);
-    }
-    Line *nl = dir_.find(set, tag);
+    writeBackVictim(frames_.install(set, block));
     const bool write_through = policy_.shouldWriteThrough(addr);
-    nl->dirty = !write_through;
-    dbc_.update(blockNumber(addr), nl->dirty);
+    f = AlloyFrames::word(block, !write_through);
+    dbc_.update(block, !write_through);
     window_.aMs++;
     array_.access(tadAddr(set), true, nullptr, cfg_.tadExtraClocks);
     if (write_through)
@@ -286,9 +325,7 @@ AlloyCache::save(ckpt::Serializer &s) const
 {
     saveBase(s);
     array_.save(s);
-    dir_.save(s, [](ckpt::Serializer &sr, const Line &l) {
-        sr.boolean(l.dirty);
-    });
+    frames_.save(s);
     dbc_.save(s);
     s.bytes(predictor_.data(), predictor_.size());
     s.u64(predictorHits.value());
@@ -302,9 +339,7 @@ AlloyCache::restore(ckpt::Deserializer &d)
 {
     restoreBase(d);
     array_.restore(d);
-    dir_.restore(d, [](ckpt::Deserializer &dr, Line &l) {
-        l.dirty = dr.boolean();
-    });
+    frames_.restore(d);
     dbc_.restore(d);
     const std::vector<std::uint8_t> pred = d.bytes();
     if (pred.size() != predictor_.size())

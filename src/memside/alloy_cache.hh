@@ -19,8 +19,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/assoc_cache.hh"
 #include "cache/dirty_bit_cache.hh"
+#include "ckpt/serializer.hh"
+#include "common/types.hh"
 #include "dram/presets.hh"
 #include "memside/ms_cache.hh"
 
@@ -47,6 +48,87 @@ struct AlloyCacheConfig
     std::size_t predictorEntries = 4096;
 
     std::uint64_t numSets() const { return capacityBytes / kBlockBytes; }
+};
+
+/**
+ * The Alloy cache's tag store: one 64-bit frame word per set.
+ *
+ * A direct-mapped set has exactly one candidate, so the store keeps no
+ * replacement state (no valid/NRU masks, no LRU clocks) — only what a
+ * TAD's tag half holds:
+ *
+ *   bit 63 valid | bit 62 dirty | bits 58..61 reserved (zero) |
+ *   bits 0..57 block number
+ *
+ * Block numbers of 64-bit addresses are below 2^58, so the whole block
+ * number is the tag. An empty frame is the zero word. Installing a
+ * block replaces the frame and returns the old word as the victim:
+ * exactly what a 1-way LRU AssocCache reports (pinned by
+ * tests/test_alloy_frames.cc).
+ */
+class AlloyFrames
+{
+  public:
+    static constexpr std::uint64_t kValid = std::uint64_t(1) << 63;
+    static constexpr std::uint64_t kDirty = std::uint64_t(1) << 62;
+    static constexpr std::uint64_t kTagMask =
+        (std::uint64_t(1) << 58) - 1;
+    static constexpr std::uint64_t kReserved =
+        ~(kValid | kDirty | kTagMask);
+
+    explicit AlloyFrames(std::uint64_t sets);
+
+    /** Set of block number @p block (hashed, so strided blocks
+     *  spread; a mask for power-of-two set counts). */
+    std::uint64_t
+    setOf(std::uint64_t block) const
+    {
+        return setDiv_.mod(indexHash(block));
+    }
+
+    std::uint64_t &operator[](std::uint64_t set) { return frames_[set]; }
+    std::uint64_t operator[](std::uint64_t set) const
+    {
+        return frames_[set];
+    }
+
+    /** Whether frame word @p w holds block @p tag; the dirty bit is
+     *  not part of the compare. */
+    static bool
+    holds(std::uint64_t w, std::uint64_t tag)
+    {
+        return (w & ~kDirty) == (kValid | tag);
+    }
+    static bool valid(std::uint64_t w) { return (w & kValid) != 0; }
+    static bool dirty(std::uint64_t w) { return (w & kDirty) != 0; }
+    static std::uint64_t tagOf(std::uint64_t w) { return w & kTagMask; }
+
+    /** Frame word of a resident block. */
+    static std::uint64_t
+    word(std::uint64_t tag, bool dirty)
+    {
+        return kValid | (dirty ? kDirty : 0) | tag;
+    }
+
+    /** Install @p tag clean in @p set; @return the replaced word (the
+     *  victim; zero when the frame was empty). */
+    std::uint64_t
+    install(std::uint64_t set, std::uint64_t tag)
+    {
+        const std::uint64_t victim = frames_[set];
+        frames_[set] = word(tag, false);
+        return victim;
+    }
+
+    /** Checkpoint the frame array (the Alloy "ms" section's tag
+     *  store); restore() throws CkptError on a set-count mismatch or
+     *  a malformed frame word. */
+    void save(ckpt::Serializer &s) const;
+    void restore(ckpt::Deserializer &d);
+
+  private:
+    std::vector<std::uint64_t> frames_;
+    FastDiv setDiv_;
 };
 
 /** The Alloy cache controller. */
@@ -85,16 +167,10 @@ class AlloyCache final : public MemSideCache
     Counter wastedEarlyReads; ///< predicted-miss reads that hit after all
 
   private:
-    struct Line
-    {
-        bool dirty = false;
-    };
-
     std::uint64_t setOf(Addr a) const
     {
-        return dir_.mapSet(indexHash(blockNumber(a)));
+        return frames_.setOf(blockNumber(a));
     }
-    std::uint64_t tagOf(Addr a) const { return blockNumber(a); }
 
     /** Array address of a set's TAD. */
     Addr tadAddr(std::uint64_t set) const
@@ -116,9 +192,12 @@ class AlloyCache final : public MemSideCache
     /** Fill @p addr over the victim of its set (TAD write). */
     void fill(Addr addr);
 
+    /** Write back @p victim (a replaced frame word) if it is dirty. */
+    void writeBackVictim(std::uint64_t victim);
+
     AlloyCacheConfig cfg_;
     DramSystem array_;
-    AssocCache<Line> dir_;
+    AlloyFrames frames_;
     DirtyBitCache dbc_;
     std::vector<std::uint8_t> predictor_;
     /** Predictor index reduction (a mask for power-of-two sizes). */

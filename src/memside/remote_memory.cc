@@ -30,6 +30,10 @@ RemoteMemory::RemoteMemory(EventQueue &eq, const RemoteConfig &cfg,
     if (transferTicks_ == 0)
         transferTicks_ = 1;
     latencyTicks_ = static_cast<Tick>(std::llround(cfg.addLatencyNs * 1000.0));
+    // The credit window bounds inFlight_, so transfers never grow it
+    // after this; the cap keeps an outsized window from reserving
+    // memory up front (the ring still grows past it on demand).
+    inFlight_.reserve(std::min<std::size_t>(cfg.maxOutstanding, 4096));
 }
 
 double
@@ -103,9 +107,10 @@ void
 RemoteMemory::save(ckpt::Serializer &s) const
 {
     const Tick now = eq_.now();
-    auto putQueue = [&](const std::deque<Transfer> &q, bool in_flight) {
+    auto putQueue = [&](const RingDeque<Transfer> &q, bool in_flight) {
         s.u64(q.size());
-        for (const Transfer &t : q) {
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const Transfer &t = q[i];
             if (!t.isWrite || t.done)
                 throw ckpt::CkptError(
                     "ckpt: remote tier has outstanding reads; quiesce "

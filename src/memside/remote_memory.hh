@@ -19,11 +19,11 @@
 #define DAPSIM_MEMSIDE_REMOTE_MEMORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "ckpt/serializer.hh"
 #include "common/event_queue.hh"
+#include "common/ring_deque.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/channel.hh"
@@ -170,9 +170,11 @@ class RemoteMemory
     Tick busyUntil_ = 0;     ///< link reservation frontier
 
     /** Completions are in issue order: the link serializes transfers
-     *  and the latency adder is constant, so FIFOs suffice. */
-    std::deque<Transfer> inFlight_;
-    std::deque<Transfer> pending_;
+     *  and the latency adder is constant, so FIFOs suffice. Rings, so
+     *  transfers cycling through do not allocate (inFlight_ is
+     *  reserved to the credit window). */
+    RingDeque<Transfer> inFlight_;
+    RingDeque<Transfer> pending_;
 
     BusTraceHook *trace_ = nullptr;
     std::string traceName_;

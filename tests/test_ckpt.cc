@@ -370,8 +370,9 @@ TEST(Ckpt, TieredDapRestoreIsBitIdentical)
  * The warm payload layout is pinned: stores key warm-up files by
  * stateHash alone, so a layout change that kept the hash would make
  * existing files restore into the wrong fields. A deliberate layout
- * change must also change the stateHash tag ("dapsim.ckpt.state.v1")
- * and these constants.
+ * change must also add a layout tag to its architecture's arm of the
+ * stateHash (as the Alloy arm's "alloy.frames.v1"; see
+ * StateHashLayoutTagIsAlloyOnly) and update these constants.
  */
 TEST(Ckpt, WarmPayloadLayoutIsPinned)
 {
@@ -390,6 +391,78 @@ TEST(Ckpt, WarmPayloadLayoutIsPinned)
               0xb61931a41a976aeaULL);
     EXPECT_EQ(payloadHash(edramTiny(), ckpt::kVersionV2),
               0x8a297daa742ec50dULL);
+    // Alloy: one packed word per frame (tagged "alloy.frames.v1" in
+    // the stateHash, see StateHashLayoutTagIsAlloyOnly).
+    EXPECT_EQ(payloadHash(alloyTiny(), ckpt::kVersionV1),
+              0x8511887158731826ULL);
+    EXPECT_EQ(payloadHash(alloyTiny(), ckpt::kVersionV2),
+              0x5bc783657d788d2aULL);
+}
+
+/**
+ * A payload layout change tags only its own architecture's arm of the
+ * stateHash. The Alloy frame store changed the Alloy "ms" section, so
+ * old Alloy warm-up files no longer match; every other architecture
+ * keeps the keys its files were stored under (the pinned values).
+ */
+TEST(Ckpt, StateHashLayoutTagIsAlloyOnly)
+{
+    const std::string desc = ckpt::describeMix(tinyMix("mcf"));
+    const auto hash = [&](const SystemConfig &cfg) {
+        return ckpt::stateHash(cfg, desc, 7, 2'000);
+    };
+    EXPECT_EQ(hash(sectoredTiny()), 0xcc6d3a8a66e54d16ULL);
+    EXPECT_EQ(hash(edramTiny()), 0x761fde8fea12c3d1ULL);
+    EXPECT_EQ(hash(tieredTiny()), 0x7bc24ccbde8dbd65ULL);
+    EXPECT_EQ(hash(noneTiny()), 0xdec4f2f4af8bd9c6ULL);
+    // The 1-way-directory layout's key, and the frame store's.
+    EXPECT_NE(hash(alloyTiny()), 0x9c72a12b3cd75cc6ULL);
+    EXPECT_EQ(hash(alloyTiny()), 0xb3d6abf48f44f17dULL);
+
+    // Job ids hash the content hash, which leaves layout tags out:
+    // it is the pre-tag key for Alloy and the stateHash elsewhere.
+    const auto content = [&](const SystemConfig &cfg) {
+        return ckpt::stateContentHash(cfg, desc, 7, 2'000);
+    };
+    EXPECT_EQ(content(alloyTiny()), 0x9c72a12b3cd75cc6ULL);
+    for (const SystemConfig &cfg :
+         {sectoredTiny(), edramTiny(), tieredTiny(), noneTiny()})
+        EXPECT_EQ(content(cfg), hash(cfg));
+}
+
+/** Save a freshly built @p from system and restore it into a fresh
+ *  @p into system directly (no hash check); returns the error
+ *  message, or "" when the restore succeeds. */
+std::string
+restoreAcross(const SystemConfig &from, const SystemConfig &into)
+{
+    const Mix mix = tinyMix("mcf");
+    auto build = [&](const SystemConfig &cfg) {
+        std::vector<AccessGeneratorPtr> gens;
+        for (std::uint32_t i = 0; i < cfg.numCores; ++i)
+            gens.push_back(makeGenerator(mix.apps[i], i, 0));
+        return std::make_unique<System>(cfg, std::move(gens));
+    };
+    ckpt::Serializer s;
+    build(from)->save(s);
+
+    auto target = build(into);
+    ckpt::Deserializer d(s.buffer());
+    try {
+        target->restore(d);
+    } catch (const ckpt::CkptError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Ckpt, AlloyRestoreRefusesFrameCountMismatch)
+{
+    SystemConfig bigger = alloyTiny();
+    bigger.alloy.capacityBytes *= 2;
+    EXPECT_NE(restoreAcross(alloyTiny(), bigger).find("Alloy frame count"),
+              std::string::npos);
+    EXPECT_EQ(restoreAcross(alloyTiny(), alloyTiny()), "");
 }
 
 TEST(Ckpt, RemoteMemoryMidRunRoundTripMatchesUninterrupted)
@@ -451,25 +524,7 @@ TEST(Ckpt, RemoteSaveRefusesOutstandingReads)
 std::string
 restoreTwoTierIntoTiered()
 {
-    const Mix mix = tinyMix("mcf");
-    auto build = [&](const SystemConfig &cfg) {
-        std::vector<AccessGeneratorPtr> gens;
-        for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-            gens.push_back(makeGenerator(mix.apps[i], i, 0));
-        return std::make_unique<System>(cfg, std::move(gens));
-    };
-    auto flat = build(sectoredTiny());
-    ckpt::Serializer s;
-    flat->save(s);
-
-    auto tiered = build(tieredTiny());
-    ckpt::Deserializer d(s.buffer());
-    try {
-        tiered->restore(d);
-    } catch (const ckpt::CkptError &e) {
-        return e.what();
-    }
-    return "";
+    return restoreAcross(sectoredTiny(), tieredTiny());
 }
 
 TEST(Ckpt, TwoTierCheckpointRefusedInTieredConfig)
