@@ -24,6 +24,7 @@
 #include "bench_util.hh"
 #include "sim/fidelity.hh"
 #include "sim/fidelity_runner.hh"
+#include "sim/presets.hh"
 #include "sim/system.hh"
 #include "trace/mixes.hh"
 #include "trace/workloads.hh"

@@ -194,21 +194,6 @@ class AssocCache
         }
     }
 
-    /** Visit every valid line (tests, flushes). */
-    void
-    forEach(const std::function<void(std::uint64_t, std::uint64_t,
-                                     Value &)> &fn)
-    {
-        for (std::uint64_t s = 0; s < sets_; ++s) {
-            const std::size_t base = s * ways_;
-            for (std::uint64_t m = valid_[s]; m != 0; m &= m - 1) {
-                const std::uint32_t w =
-                    static_cast<std::uint32_t>(std::countr_zero(m));
-                fn(s, tags_[base + w], values_[base + w]);
-            }
-        }
-    }
-
     /** Number of valid lines in a set. */
     std::uint32_t
     occupancy(std::uint64_t set) const

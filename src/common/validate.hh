@@ -7,12 +7,21 @@
  * these checks so an out-of-range value produces the same clear
  * fatal() everywhere instead of silently generating nonsense traffic.
  * All checks are written as !(v in range) so NaN is rejected too.
+ *
+ * parseCount()/parseReal() are the one number parser of every
+ * command-line tool: the whole string must be the number (no sign on
+ * counts, no whitespace, no suffix), counts must fit the target type
+ * and reals must be finite. A failure is a fatal() naming the flag.
  */
 
 #ifndef DAPSIM_COMMON_VALIDATE_HH
 #define DAPSIM_COMMON_VALIDATE_HH
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "common/log.hh"
 
@@ -69,6 +78,42 @@ checkCountAtLeast(const std::string &what, std::uint64_t v,
     if (v < lo)
         fatal(what + " must be >= " + std::to_string(lo) + ", got " +
               std::to_string(v));
+    return v;
+}
+
+/** Parse @p s, the value of @p flag, as a decimal count of type T. */
+template <typename T = std::uint64_t>
+T
+parseCount(const std::string &flag, const std::string &s)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    const char *last = s.data() + s.size();
+    // from_chars takes no sign and no leading whitespace for unsigned
+    // types, and reports values above T's range.
+    const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+    if (ec == std::errc::result_out_of_range)
+        fatal(flag + " is out of range (max " +
+              std::to_string(std::numeric_limits<T>::max()) + "), got '" +
+              s + "'");
+    if (ec != std::errc() || ptr != last)
+        fatal(flag + " expects a non-negative integer, got '" + s + "'");
+    return v;
+}
+
+/** Parse @p s, the value of @p flag, as a finite decimal real. */
+inline double
+parseReal(const std::string &flag, const std::string &s)
+{
+    double v = 0.0;
+    const char *last = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+    // from_chars accepts "inf" and "nan" but not a leading '+' or
+    // whitespace; 1e999 comes back out of range.
+    if (ec != std::errc() || ptr != last ||
+        !(v >= -std::numeric_limits<double>::max() &&
+          v <= std::numeric_limits<double>::max()))
+        fatal(flag + " expects a finite number, got '" + s + "'");
     return v;
 }
 

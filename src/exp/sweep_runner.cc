@@ -53,6 +53,7 @@ SweepRunner::buildForkGroups()
         const std::uint64_t key = warmupStateHash(spec);
         ForkGroup &g = groups_[key];
         g.stateHash = key;
+        ++g.pending;
         jobGroup_[i] = &g;
     }
 }
@@ -128,6 +129,10 @@ SweepRunner::execute(std::size_t i)
                        wstart, nowUs());
         });
         r = runJob(specs_[i], i, g->ckpt ? &g->ckpt : nullptr);
+        if (--g->pending == 0) {
+            g->ckpt = {};
+            warmupCache_->release(g->stateHash);
+        }
     }
     recordSpan(specs_[i].displayLabel(), r.ok ? "job" : "failed",
                start, nowUs());

@@ -113,6 +113,9 @@ class SweepRunner
         /** Shared snapshot; null when preparation failed (the group's
          *  jobs then fall back to running their own warm-up). */
         ckpt::CheckpointView ckpt;
+        /** Jobs of the group not yet finished; the last one drops the
+         *  snapshot, so a sweep holds only its running groups' ones. */
+        std::atomic<std::size_t> pending{0};
     };
 
     /** Deliver any contiguous completed prefix to the sinks. A sink

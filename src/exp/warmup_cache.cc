@@ -220,4 +220,11 @@ WarmupCache::ensure(const JobSpec &spec)
     return group->result;
 }
 
+void
+WarmupCache::release(std::uint64_t state_hash)
+{
+    std::lock_guard lock(mapMutex_);
+    groups_.erase(state_hash);
+}
+
 } // namespace dapsim::exp

@@ -71,6 +71,10 @@ class WarmupCache
      */
     Result ensure(const JobSpec &spec);
 
+    /** Drop the in-memory checkpoint of group @p state_hash once no
+     *  caller needs it; a later ensure() loads or re-simulates it. */
+    void release(std::uint64_t state_hash);
+
     /** Warmups simulated by this cache instance. */
     std::uint64_t executed() const { return executed_; }
 

@@ -13,13 +13,13 @@ RemoteMemory::RemoteMemory(EventQueue &eq, const RemoteConfig &cfg,
                            double local_peak_gbps)
     : eq_(eq), cfg_(cfg)
 {
-    if (cfg.bwScaleFactor <= 0.0)
+    if (!(cfg.bwScaleFactor > 0.0))
         fatal("remote: bwScaleFactor must be positive");
-    if (cfg.addLatencyNs < 0.0)
+    if (!(cfg.addLatencyNs >= 0.0))
         fatal("remote: addLatencyNs must be non-negative");
     if (cfg.maxOutstanding == 0)
         fatal("remote: maxOutstanding must be positive");
-    if (local_peak_gbps <= 0.0)
+    if (!(local_peak_gbps > 0.0))
         fatal("remote: local main-memory bandwidth must be positive");
 
     peakGBps_ = local_peak_gbps / cfg.bwScaleFactor;

@@ -1,7 +1,5 @@
 #include "sim/runner.hh"
 
-#include <map>
-
 #include "common/log.hh"
 #include "sim/fidelity_runner.hh"
 
@@ -49,25 +47,6 @@ aloneIpc(SystemConfig cfg, const WorkloadProfile &profile,
     return sys.core(0).finished()
                ? sys.core(0).finishIpc()
                : sys.core(0).ipcAt(sys.eventQueue().now());
-}
-
-std::vector<double>
-aloneIpcTable(const SystemConfig &cfg, const Mix &mix,
-              std::uint64_t instr, std::uint64_t seed_salt)
-{
-    std::map<std::string, double> memo;
-    std::vector<double> out;
-    out.reserve(mix.apps.size());
-    for (const auto &app : mix.apps) {
-        auto it = memo.find(app.name);
-        if (it == memo.end()) {
-            it = memo.emplace(app.name,
-                              aloneIpc(cfg, app, instr, seed_salt))
-                     .first;
-        }
-        out.push_back(it->second);
-    }
-    return out;
 }
 
 } // namespace dapsim

@@ -9,7 +9,6 @@
 #define DAPSIM_SIM_RUNNER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -26,11 +25,6 @@ RunResult runMix(SystemConfig cfg, const Mix &mix,
 /** IPC of @p profile running alone (one active core) under @p cfg. */
 double aloneIpc(SystemConfig cfg, const WorkloadProfile &profile,
                 std::uint64_t instr, std::uint64_t seed_salt = 0);
-
-/** Alone-IPC table for a mix (one entry per core slot). */
-std::vector<double> aloneIpcTable(const SystemConfig &cfg,
-                                  const Mix &mix, std::uint64_t instr,
-                                  std::uint64_t seed_salt = 0);
 
 } // namespace dapsim
 

@@ -1,7 +1,5 @@
 #include "workload/compose.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
 #include "common/validate.hh"
 #include "workload/spec.hh"
@@ -25,12 +23,12 @@ struct Tenant
 std::uint32_t
 parseCores(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v == 0)
+    const std::uint32_t v =
+        parseCount<std::uint32_t>("mix: " + key + ".cores", value);
+    if (v == 0)
         fatal("mix: " + key + ".cores expects a positive integer, got '" +
               value + "'");
-    return static_cast<std::uint32_t>(v);
+    return v;
 }
 
 /** Rebuild the canonical per-tenant spec text for an engine tenant. */
@@ -54,12 +52,13 @@ classicTenantProfile(const Tenant &t)
     WorkloadProfile w = workloadByName(t.kind);
     for (const auto &p : t.params) {
         if (p.first == "mpki")
-            w.params.mpki = checkMpki("mix: " + t.key + ".mpki",
-                                      std::strtod(p.second.c_str(), nullptr));
+            w.params.mpki = checkMpki(
+                "mix: " + t.key + ".mpki",
+                parseReal("mix: " + t.key + ".mpki", p.second));
         else if (p.first == "write")
-            w.params.writeFraction =
-                checkUnitInterval("mix: " + t.key + ".write",
-                                  std::strtod(p.second.c_str(), nullptr));
+            w.params.writeFraction = checkUnitInterval(
+                "mix: " + t.key + ".write",
+                parseReal("mix: " + t.key + ".write", p.second));
         else
             fatal("mix: classic profile tenant " + t.key + " (" + t.kind +
                   ") only accepts mpki and write overrides, got '" +

@@ -1,6 +1,6 @@
 #include "workload/spec.hh"
 
-#include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/log.hh"
@@ -26,49 +26,29 @@ kindList()
     return out;
 }
 
-double
-parseDouble(const std::string &kind, const std::string &key,
-            const std::string &text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal(kind + ": parameter '" + key + "' expects a number, got '" +
-              text + "'");
-    return v;
-}
-
+/** A byte size: a count with an optional K/M/G suffix. */
 std::uint64_t
-parseCount(const std::string &kind, const std::string &key,
-           const std::string &text)
+parseSize(const std::string &what, const std::string &text)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal(kind + ": parameter '" + key +
-              "' expects an integer, got '" + text + "'");
-    return v;
-}
-
-std::uint64_t
-parseSize(const std::string &kind, const std::string &key,
-          const std::string &text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
-        fatal(kind + ": parameter '" + key + "' expects a size, got '" +
-              text + "'");
     std::uint64_t mult = 1;
-    if (*end == 'k' || *end == 'K')
-        mult = kKiB, ++end;
-    else if (*end == 'm' || *end == 'M')
-        mult = kMiB, ++end;
-    else if (*end == 'g' || *end == 'G')
-        mult = kMiB * 1024, ++end;
-    if (*end != '\0')
-        fatal(kind + ": parameter '" + key + "' expects a size with an "
-              "optional K/M/G suffix, got '" + text + "'");
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'k':
+      case 'K':
+        mult = kKiB;
+        break;
+      case 'm':
+      case 'M':
+        mult = kMiB;
+        break;
+      case 'g':
+      case 'G':
+        mult = kMiB * 1024;
+        break;
+    }
+    const std::uint64_t v =
+        parseCount(what, mult == 1 ? text : text.substr(0, text.size() - 1));
+    if (v > std::numeric_limits<std::uint64_t>::max() / mult)
+        fatal(what + " is out of range, got '" + text + "'");
     return v * mult;
 }
 
@@ -90,40 +70,33 @@ class ParamReader
     double
     unit(const char *key, double def)
     {
-        auto t = take(key);
-        return checkUnitInterval(kind_ + ":" + key,
-                                 t ? parseDouble(kind_, key, *t) : def);
+        return checkUnitInterval(kind_ + ":" + key, real(key, def));
     }
 
     double
     positive(const char *key, double def)
     {
-        auto t = take(key);
-        return checkPositive(kind_ + ":" + key,
-                             t ? parseDouble(kind_, key, *t) : def);
+        return checkPositive(kind_ + ":" + key, real(key, def));
     }
 
     double
     atLeastOne(const char *key, double def)
     {
-        auto t = take(key);
-        return checkAtLeast(kind_ + ":" + key,
-                            t ? parseDouble(kind_, key, *t) : def, 1.0);
+        return checkAtLeast(kind_ + ":" + key, real(key, def), 1.0);
     }
 
     double
     mpki(const char *key, double def)
     {
-        auto t = take(key);
-        return checkMpki(kind_ + ":" + key,
-                         t ? parseDouble(kind_, key, *t) : def);
+        return checkMpki(kind_ + ":" + key, real(key, def));
     }
 
     std::uint64_t
     size(const char *key, std::uint64_t def)
     {
         auto t = take(key);
-        const std::uint64_t v = t ? parseSize(kind_, key, *t) : def;
+        const std::uint64_t v =
+            t ? parseSize(kind_ + ":" + key, *t) : def;
         if (v < kBlockBytes)
             fatal(kind_ + ":" + key + " must be at least " +
                   std::to_string(kBlockBytes) + " bytes");
@@ -134,8 +107,9 @@ class ParamReader
     count(const char *key, std::uint64_t def, std::uint64_t lo = 1)
     {
         auto t = take(key);
-        return checkCountAtLeast(kind_ + ":" + key,
-                                 t ? parseCount(kind_, key, *t) : def, lo);
+        return checkCountAtLeast(
+            kind_ + ":" + key, t ? parseCount(kind_ + ":" + key, *t) : def,
+            lo);
     }
 
     DriftConfig
@@ -191,6 +165,14 @@ class ParamReader
         cache_ = it->second;
         kv_.erase(it);
         return &cache_;
+    }
+
+    /** @p key's value as a finite real, or @p def when absent. */
+    double
+    real(const char *key, double def)
+    {
+        const std::string *t = take(key);
+        return t ? parseReal(kind_ + ":" + key, *t) : def;
     }
 
     std::string kind_;

@@ -113,17 +113,20 @@ TEST_P(AlloyFramesDiff, MatchesOneWayLruDirectory)
     EXPECT_GT(hits, 1000u);
     EXPECT_GT(dirtyVictims, 100u);
 
-    // End state: every resident line of the old directory is the
-    // frame word, and no other frame is valid.
-    std::uint64_t resident = 0;
-    ref.forEach([&](std::uint64_t set, std::uint64_t tag, OldLine &v) {
-        ++resident;
-        EXPECT_EQ(frames[set], AlloyFrames::word(tag, v.dirty));
-    });
-    std::uint64_t valid = 0;
-    for (std::uint64_t s = 0; s < sets; ++s)
-        valid += AlloyFrames::valid(frames[s]);
-    EXPECT_EQ(valid, resident);
+    // End state: a frame is valid exactly where the old directory
+    // holds a line, and each valid frame is that line with its dirty
+    // bit.
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        const std::uint64_t w = frames[s];
+        ASSERT_EQ(AlloyFrames::valid(w) ? 1u : 0u, ref.occupancy(s))
+            << "set " << s;
+        if (!AlloyFrames::valid(w))
+            continue;
+        const OldLine *line = ref.find(s, AlloyFrames::tagOf(w));
+        ASSERT_NE(line, nullptr) << "set " << s;
+        EXPECT_EQ(AlloyFrames::dirty(w), line->dirty) << "set " << s;
+        EXPECT_EQ(w & AlloyFrames::kReserved, 0u) << "set " << s;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(SetCounts, AlloyFramesDiff,

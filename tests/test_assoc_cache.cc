@@ -100,17 +100,6 @@ TEST(AssocCache, FlushSetVisitsAndInvalidates)
     EXPECT_EQ(c.occupancy(1), 1u);
 }
 
-TEST(AssocCache, ForEachCountsValidLines)
-{
-    AssocCache<int> c(4, 4);
-    c.insert(0, 1, 0);
-    c.insert(2, 5, 0);
-    c.insert(3, 9, 0);
-    int n = 0;
-    c.forEach([&](std::uint64_t, std::uint64_t, int &) { ++n; });
-    EXPECT_EQ(n, 3);
-}
-
 TEST(AssocCacheDeathTest, DuplicateInsertPanics)
 {
     AssocCache<int> c(1, 2);

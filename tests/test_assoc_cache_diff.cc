@@ -120,15 +120,16 @@ TEST_P(AssocCacheDiff, StreamsAreBitIdentical)
             expectSameCkptBytes(soa, ref);
     }
 
-    // Final state: forEach visit parity and checkpoint bytes.
-    std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> a, b;
-    soa.forEach([&](std::uint64_t s, std::uint64_t t, int &v) {
-        a.emplace_back(s, t, v);
-    });
+    // Final state: equal occupancy in every set, and every reference
+    // line present in the SoA directory with the same value, so both
+    // hold the same lines; then the checkpoint bytes.
+    for (std::uint64_t s = 0; s < geo.sets; ++s)
+        ASSERT_EQ(soa.occupancy(s), ref.occupancy(s)) << "set " << s;
     ref.forEach([&](std::uint64_t s, std::uint64_t t, int &v) {
-        b.emplace_back(s, t, v);
+        const int *line = soa.find(s, t);
+        ASSERT_NE(line, nullptr) << "set " << s << " tag " << t;
+        EXPECT_EQ(*line, v) << "set " << s << " tag " << t;
     });
-    EXPECT_EQ(a, b);
     expectSameCkptBytes(soa, ref);
 }
 

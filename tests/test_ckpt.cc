@@ -664,6 +664,26 @@ TEST(SweepWarmupFork, OneWarmupPerDistinctGroup)
     EXPECT_EQ(runner.warmupsExecuted(), 2u);
 }
 
+TEST(SweepWarmupFork, ReleaseDropsTheCachedCheckpoint)
+{
+    exp::JobSpec spec;
+    spec.cfg = sectoredTiny();
+    spec.mix = tinyMix("mcf");
+    spec.instr = kInstr;
+
+    exp::WarmupCache cache("");
+    const exp::WarmupCache::Result first = cache.ensure(spec);
+    ASSERT_TRUE(first.ckpt);
+    EXPECT_TRUE(first.executed);
+    EXPECT_EQ(first.ckpt.backing.use_count(), 2); // caller + cache
+    cache.release(exp::warmupStateHash(spec));
+    EXPECT_EQ(first.ckpt.backing.use_count(), 1); // caller only
+
+    // A released group is simulated again on the next request.
+    EXPECT_TRUE(cache.ensure(spec).executed);
+    EXPECT_EQ(cache.executed(), 2u);
+}
+
 TEST(SweepWarmupFork, CkptDirIsReusedAcrossSweeps)
 {
     const std::string dir =

@@ -135,16 +135,6 @@ TEST(SystemIntegration, AloneIpcExceedsRateModeIpc)
     EXPECT_LE(shared.ipc[0], alone * 1.1);
 }
 
-TEST(SystemIntegration, AloneIpcTableMemoizesPerApp)
-{
-    const SystemConfig cfg = smallSectored();
-    const Mix mix = smallMix();
-    const auto table = aloneIpcTable(cfg, mix, 5'000);
-    ASSERT_EQ(table.size(), 8u);
-    for (std::size_t i = 1; i < table.size(); ++i)
-        EXPECT_EQ(table[i], table[0]); // same app: same alone IPC
-}
-
 TEST(SystemIntegration, SixteenCoreSystemRuns)
 {
     SystemConfig cfg = presets::sectoredSystem16();

@@ -134,6 +134,16 @@ TEST(WorkloadSpecDeath, RejectsBadSpecs)
     EXPECT_DEATH(workload::validateSpec("wat:x=1"),
                  "unknown workload-spec kind");
     EXPECT_DEATH(workload::validateSpec("zipf:skew"), "key=value");
+    // Numbers must be whole and in range: no sign on counts or sizes,
+    // no trailing text, no NaN, no size past 2^64.
+    EXPECT_DEATH(workload::validateSpec("zipf:drift=jump,period=-1"),
+                 "zipf:period expects a non-negative integer");
+    EXPECT_DEATH(workload::validateSpec("zipf:fp=-16M"),
+                 "zipf:fp expects a non-negative integer");
+    EXPECT_DEATH(workload::validateSpec("zipf:fp=99999999999999G"),
+                 "zipf:fp is out of range");
+    EXPECT_DEATH(workload::validateSpec("zipf:skew=1.5x"),
+                 "zipf:skew expects a finite number");
 }
 
 TEST(WorkloadSpecDeath, SyntheticParamsRejectOutOfRangeDials)
@@ -324,6 +334,13 @@ TEST(MixComposerDeath, RejectsBadCompositions)
     EXPECT_DEATH(workload::composeWorkload(
                      "mix:t0=mcf,t0.skew=2,t1=flood", 8),
                  "mpki and write");
+    // Numbers must be whole: no sign on counts, no trailing text.
+    EXPECT_DEATH(workload::composeWorkload(
+                     "mix:t0=zipf,t0.cores=-1,t1=flood", 8),
+                 "t0.cores");
+    EXPECT_DEATH(workload::composeWorkload(
+                     "mix:t0=mcf,t0.mpki=40x,t1=flood", 8),
+                 "t0.mpki expects a finite number");
 }
 
 /** The trace-layer makeGenerator dispatches spec-carrying profiles to

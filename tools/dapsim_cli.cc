@@ -21,6 +21,7 @@
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "common/validate.hh"
 #include "sim/fidelity_runner.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
@@ -186,33 +187,31 @@ main(int argc, char **argv)
         else if (a == "--trace")
             opt.trace = value();
         else if (a == "--cores")
-            opt.cores = static_cast<std::uint32_t>(
-                std::stoul(value()));
+            opt.cores = parseCount<std::uint32_t>(a, value());
         else if (a == "--instr")
-            opt.instr = std::stoull(value());
+            opt.instr = parseCount(a, value());
         else if (a == "--capacity-mb")
-            opt.capacityMb = std::stoull(value());
+            opt.capacityMb = parseCount(a, value());
         else if (a == "--window")
-            opt.window = std::stoull(value());
+            opt.window = parseCount(a, value());
         else if (a == "--efficiency")
-            opt.efficiency = std::stod(value());
+            opt.efficiency = parseReal(a, value());
         else if (a == "--seed")
-            opt.seed = std::stoull(value());
+            opt.seed = parseCount(a, value());
         else if (a == "--fidelity")
             opt.fidelity = value();
         else if (a == "--fidelity-detail")
-            opt.fidelityDetail = std::stoull(value());
+            opt.fidelityDetail = parseCount(a, value());
         else if (a == "--fidelity-period")
-            opt.fidelityPeriod = std::stoull(value());
+            opt.fidelityPeriod = parseCount(a, value());
         else if (a == "--remote")
             opt.remote = true;
         else if (a == "--remote-scale")
-            opt.remoteScale = std::stod(value());
+            opt.remoteScale = parseReal(a, value());
         else if (a == "--remote-latency-ns")
-            opt.remoteLatencyNs = std::stod(value());
+            opt.remoteLatencyNs = parseReal(a, value());
         else if (a == "--remote-outstanding")
-            opt.remoteOutstanding = static_cast<std::uint32_t>(
-                std::stoul(value()));
+            opt.remoteOutstanding = parseCount<std::uint32_t>(a, value());
         else if (a == "--save-ckpt")
             opt.saveCkpt = value();
         else if (a == "--restore-ckpt")
@@ -227,7 +226,7 @@ main(int argc, char **argv)
                 fatal("--ckpt-format must be v1 or v2");
         }
         else if (a == "--sample-every")
-            opt.obs.sampleEvery = std::stoull(value());
+            opt.obs.sampleEvery = parseCount(a, value());
         else if (a == "--sample-out")
             opt.obs.sampleOut = value();
         else if (a == "--sample-format") {

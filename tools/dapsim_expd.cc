@@ -26,7 +26,6 @@
  *   dapsim_expd merge --store out/q --out results.jsonl
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +36,7 @@
 
 #include "common/fsio.hh"
 #include "common/log.hh"
+#include "common/validate.hh"
 #include "expd/store.hh"
 #include "expd/worker.hh"
 
@@ -75,19 +75,6 @@ usage()
     std::exit(1);
 }
 
-std::uint64_t
-parseNumber(const std::string &flag, const std::string &s)
-{
-    if (s.empty())
-        fatal(flag + " expects a number");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal(flag + " expects a number, got '" + s + "'");
-    return v;
-}
-
 /** Parse "i/N" into shard index/count. */
 void
 parseShard(const std::string &s, std::size_t &index,
@@ -96,8 +83,8 @@ parseShard(const std::string &s, std::size_t &index,
     const std::size_t slash = s.find('/');
     if (slash == std::string::npos)
         fatal("--shard expects i/N, got '" + s + "'");
-    index = parseNumber("--shard", s.substr(0, slash));
-    count = parseNumber("--shard", s.substr(slash + 1));
+    index = parseCount("--shard", s.substr(0, slash));
+    count = parseCount("--shard", s.substr(slash + 1));
     if (count == 0 || index >= count)
         fatal("--shard expects i < N");
 }
@@ -265,39 +252,38 @@ main(int argc, char **argv)
         else if (a == "--capacity-mb") {
             grid.capacitiesMb.clear();
             for (const auto &c : expd::splitList(value()))
-                grid.capacitiesMb.push_back(parseNumber(a, c));
+                grid.capacitiesMb.push_back(parseCount(a, c));
         } else if (a == "--cores")
-            grid.cores =
-                static_cast<std::uint32_t>(parseNumber(a, value()));
+            grid.cores = parseCount<std::uint32_t>(a, value());
         else if (a == "--instr")
-            grid.instr = parseNumber(a, value());
+            grid.instr = parseCount(a, value());
         else if (a == "--seed")
-            grid.seed = parseNumber(a, value());
+            grid.seed = parseCount(a, value());
         else if (a == "--warmup")
-            grid.warmup = parseNumber(a, value());
+            grid.warmup = parseCount(a, value());
         else if (a == "--fidelity")
             grid.fidelity = value();
         else if (a == "--fidelity-detail")
-            grid.fidelityDetail = parseNumber(a, value());
+            grid.fidelityDetail = parseCount(a, value());
         else if (a == "--fidelity-period")
-            grid.fidelityPeriod = parseNumber(a, value());
+            grid.fidelityPeriod = parseCount(a, value());
         else if (a == "--remote")
             grid.remote = true;
         else if (a == "--remote-scale")
-            grid.remoteScale = std::stod(value());
+            grid.remoteScale = parseReal(a, value());
         else if (a == "--remote-latency-ns")
-            grid.remoteLatencyNs = std::stod(value());
+            grid.remoteLatencyNs = parseReal(a, value());
         else if (a == "--remote-outstanding")
             grid.remoteOutstanding =
-                static_cast<std::uint32_t>(parseNumber(a, value()));
+                parseCount<std::uint32_t>(a, value());
         else if (a == "--shard")
             parseShard(value(), worker.shardIndex, worker.shardCount);
         else if (a == "--jobs")
-            worker.maxJobs = parseNumber(a, value());
+            worker.maxJobs = parseCount(a, value());
         else if (a == "--id")
             worker.workerId = value();
         else if (a == "--lease-ttl")
-            worker.leaseTtlSec = std::stod(value());
+            worker.leaseTtlSec = parseReal(a, value());
         else if (a == "--progress")
             worker.progress = true;
         else if (a == "--out")

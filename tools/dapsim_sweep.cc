@@ -24,7 +24,6 @@
  */
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +33,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/validate.hh"
 #include "exp/result_sink.hh"
 #include "exp/sweep_runner.hh"
 #include "expd/store.hh"
@@ -133,20 +133,6 @@ usage()
     std::exit(1);
 }
 
-/** Parse a non-negative decimal integer; fatal() on malformation. */
-std::uint64_t
-parseNumber(const std::string &flag, const std::string &s)
-{
-    if (s.empty())
-        fatal(flag + " expects a number");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal(flag + " expects a number, got '" + s + "'");
-    return v;
-}
-
 /** Filesystem-safe job label: '/' and other separators become '_'. */
 std::string
 sanitizeLabel(const std::string &label)
@@ -192,18 +178,17 @@ main(int argc, char **argv)
         else if (a == "--capacity-mb") {
             opt.grid.capacitiesMb.clear();
             for (const auto &c : expd::splitList(value()))
-                opt.grid.capacitiesMb.push_back(parseNumber(a, c));
+                opt.grid.capacitiesMb.push_back(parseCount(a, c));
         } else if (a == "--cores")
-            opt.grid.cores = static_cast<std::uint32_t>(
-                parseNumber(a, value()));
+            opt.grid.cores = parseCount<std::uint32_t>(a, value());
         else if (a == "--instr")
-            opt.grid.instr = parseNumber(a, value());
+            opt.grid.instr = parseCount(a, value());
         else if (a == "--seed")
-            opt.grid.seed = parseNumber(a, value());
+            opt.grid.seed = parseCount(a, value());
         else if (a == "--warmup")
-            opt.grid.warmup = parseNumber(a, value());
+            opt.grid.warmup = parseCount(a, value());
         else if (a == "--jobs")
-            opt.jobs = parseNumber(a, value());
+            opt.jobs = parseCount(a, value());
         else if (a == "--json")
             opt.jsonPath = value();
         else if (a == "--dry-run")
@@ -213,18 +198,18 @@ main(int argc, char **argv)
         else if (a == "--fidelity")
             opt.grid.fidelity = value();
         else if (a == "--fidelity-detail")
-            opt.grid.fidelityDetail = parseNumber(a, value());
+            opt.grid.fidelityDetail = parseCount(a, value());
         else if (a == "--fidelity-period")
-            opt.grid.fidelityPeriod = parseNumber(a, value());
+            opt.grid.fidelityPeriod = parseCount(a, value());
         else if (a == "--remote")
             opt.grid.remote = true;
         else if (a == "--remote-scale")
-            opt.grid.remoteScale = std::stod(value());
+            opt.grid.remoteScale = parseReal(a, value());
         else if (a == "--remote-latency-ns")
-            opt.grid.remoteLatencyNs = std::stod(value());
+            opt.grid.remoteLatencyNs = parseReal(a, value());
         else if (a == "--remote-outstanding")
-            opt.grid.remoteOutstanding = static_cast<std::uint32_t>(
-                parseNumber(a, value()));
+            opt.grid.remoteOutstanding =
+                parseCount<std::uint32_t>(a, value());
         else if (a == "--warmup-fork")
             opt.warmupFork = true;
         else if (a == "--ckpt-dir")
@@ -232,7 +217,7 @@ main(int argc, char **argv)
         else if (a == "--obs-dir")
             opt.obsDir = value();
         else if (a == "--sample-every")
-            opt.sampleEvery = parseNumber(a, value());
+            opt.sampleEvery = parseCount(a, value());
         else if (a == "--sample-format") {
             const std::string f = value();
             if (f == "jsonl")

@@ -14,10 +14,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/validate.hh"
 #include "trace/trace_file.hh"
 #include "workload/compose.hh"
 #include "workload/spec.hh"
@@ -78,10 +78,9 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string name = argv[1];
-    const std::uint64_t n = std::strtoull(argv[2], nullptr, 10);
+    const std::uint64_t n = parseCount("<records>", argv[2]);
     const std::string out = argc > 3 ? argv[3] : defaultOut(name);
-    const std::uint64_t seed =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+    const std::uint64_t seed = argc > 4 ? parseCount("[seed]", argv[4]) : 0;
 
     // Compose onto one core: the emitted stream is exactly what core 0
     // of a rate mix of this workload would issue. Mix specs work too —
