@@ -25,7 +25,7 @@
 #include "sim/fidelity.hh"
 #include "sim/fidelity_runner.hh"
 #include "sim/presets.hh"
-#include "sim/system.hh"
+#include "sim/runner.hh"
 #include "trace/mixes.hh"
 #include "trace/workloads.hh"
 
@@ -71,10 +71,7 @@ runAt(const FidelityConfig &fid)
     cfg.fidelity = fid;
 
     const Mix mix = pinnedMix();
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i));
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(mix, 0));
     sys.warmup(kWarmup);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -28,8 +28,8 @@
  *    minimum it sees in ascending way order).
  *
  * Invalidated ways keep their stale tag, lastUse and value bytes until
- * overwritten; v1 checkpoints serialize them, so both layouts produce
- * byte-identical snapshots.
+ * overwritten; checkpoints serialize them, so the SoA directory and
+ * the reference produce byte-identical snapshots.
  */
 
 #ifndef DAPSIM_CACHE_ASSOC_CACHE_HH
@@ -208,12 +208,11 @@ class AssocCache
      * (`void(ckpt::Deserializer&, Value&)`) and throws CkptError on a
      * geometry mismatch.
      *
-     * Format 1 emits the per-line byte stream of dapsim.ckpt.v1
-     * (byte-identical to the historical AoS implementation, stale
-     * bytes of invalid ways included). Format 2 emits the bulk-span
-     * layout: the SoA arrays are written whole, and — when Value has
-     * unique object representations on a little-endian host — the
-     * value array as raw bytes, so restore is a handful of memcpys.
+     * The SoA arrays are written whole (stale bytes of invalid ways
+     * included), then a one-byte value encoding tag: 1 = the value
+     * array as raw bytes (Value has unique object representations on
+     * a little-endian host), 0 = one save_value() per line. Restore is
+     * a handful of memcpys.
      */
     template <typename SaveValue>
     void
@@ -223,29 +222,17 @@ class AssocCache
         s.u32(ways_);
         s.u32(static_cast<std::uint32_t>(policy_));
         s.u64(useClock_);
-        if (s.format() >= 2) {
-            s.u64Span(tags_.data(), tags_.size());
-            s.u64Span(valid_.data(), valid_.size());
-            s.u64Span(nru_.data(), nru_.size());
-            s.u64Span(lastUse_.data(), lastUse_.size());
-            s.u8(kRawValues ? 1 : 0);
-            if constexpr (kRawValues) {
-                s.raw(values_.data(), values_.size() * sizeof(Value));
-            } else {
-                for (const Value &v : values_)
-                    save_value(s, v);
-            }
-            return;
+        s.u64Span(tags_.data(), tags_.size());
+        s.u64Span(valid_.data(), valid_.size());
+        s.u64Span(nru_.data(), nru_.size());
+        s.u64Span(lastUse_.data(), lastUse_.size());
+        s.u8(kRawValues ? 1 : 0);
+        if constexpr (kRawValues) {
+            s.raw(values_.data(), values_.size() * sizeof(Value));
+        } else {
+            for (const Value &v : values_)
+                save_value(s, v);
         }
-        for (std::uint64_t set = 0; set < sets_; ++set)
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                const std::size_t idx = set * ways_ + w;
-                s.u64(tags_[idx]);
-                s.boolean((valid_[set] >> w) & 1);
-                s.boolean((nru_[set] >> w) & 1);
-                s.u64(lastUse_[idx]);
-                save_value(s, values_[idx]);
-            }
     }
 
     template <typename RestoreValue>
@@ -257,42 +244,28 @@ class AssocCache
             throw ckpt::CkptError(
                 "ckpt: cache directory geometry mismatch");
         useClock_ = d.u64();
-        if (d.format() >= 2) {
-            d.u64Span(tags_.data(), tags_.size());
-            d.u64Span(valid_.data(), valid_.size());
-            d.u64Span(nru_.data(), nru_.size());
-            d.u64Span(lastUse_.data(), lastUse_.size());
-            const bool raw = d.u8() != 0;
-            if (raw) {
-                if constexpr (kRawValues)
-                    d.raw(values_.data(),
-                          values_.size() * sizeof(Value));
-                else
-                    throw ckpt::CkptError(
-                        "ckpt: v2 raw value encoding not restorable "
-                        "on this host/value type");
-            } else {
-                for (Value &v : values_)
-                    restore_value(d, v);
-            }
-            return;
-        }
+        d.u64Span(tags_.data(), tags_.size());
+        d.u64Span(valid_.data(), valid_.size());
+        d.u64Span(nru_.data(), nru_.size());
+        d.u64Span(lastUse_.data(), lastUse_.size());
+        // A mask bit past the last way would index the next set's tags
+        // (or past the array on the last set).
         for (std::uint64_t set = 0; set < sets_; ++set)
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                const std::size_t idx = set * ways_ + w;
-                const std::uint64_t bit = std::uint64_t(1) << w;
-                tags_[idx] = d.u64();
-                if (d.boolean())
-                    valid_[set] |= bit;
-                else
-                    valid_[set] &= ~bit;
-                if (d.boolean())
-                    nru_[set] |= bit;
-                else
-                    nru_[set] &= ~bit;
-                lastUse_[idx] = d.u64();
-                restore_value(d, values_[idx]);
-            }
+            if ((valid_[set] | nru_[set]) & ~wayMask_)
+                throw ckpt::CkptError(
+                    "ckpt: cache directory mask names a way past its "
+                    "geometry");
+        if (d.u8() != 0) {
+            if constexpr (kRawValues)
+                d.raw(values_.data(), values_.size() * sizeof(Value));
+            else
+                throw ckpt::CkptError(
+                    "ckpt: raw value encoding not restorable on this "
+                    "host/value type");
+        } else {
+            for (Value &v : values_)
+                restore_value(d, v);
+        }
     }
 
   private:

@@ -28,12 +28,11 @@ sectoredSizeHint(const SectoredDramCacheConfig &c)
 }
 
 /**
- * Rough lower bound on the System::save payload size, used to
- * pre-reserve the Serializer buffer so a multi-MB snapshot doesn't
- * realloc its way up from empty. Dominant terms: the MS$ sector/line
- * directory and the L3 directory (v1 per-line overhead is 18 bytes +
- * the value encoding; the estimate uses v1, the larger of the two
- * encodings). An Alloy frame is one 8-byte word in both.
+ * Rough bound on the System::save payload size, used to pre-reserve
+ * the Serializer buffer so a multi-MB snapshot doesn't realloc its
+ * way up from empty. Dominant terms: the MS$ sector/line directory
+ * and the L3 directory (estimated at 18 bytes per line plus the
+ * value). An Alloy frame is one 8-byte word.
  */
 std::size_t
 payloadSizeHint(const SystemConfig &cfg)
@@ -181,15 +180,6 @@ describeMix(const Mix &mix)
                        b.size());
 }
 
-std::uint64_t
-resolveWarmCount(const SystemConfig &cfg)
-{
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes) / cfg.numCores;
-    return warm;
-}
-
 namespace
 {
 
@@ -333,16 +323,28 @@ fullHash(std::uint64_t state_hash, const SystemConfig &cfg)
     return fnv1a(s.buffer());
 }
 
-Checkpoint
-capture(System &sys, CheckpointHeader header, std::uint32_t version)
+CheckpointHeader
+warmupHeader(const SystemConfig &cfg, const std::string &stream_desc,
+             std::uint64_t instr, std::uint64_t seed_salt)
 {
-    if (version != kVersionV1 && version != kVersionV2)
-        throw CkptError("ckpt: cannot capture version " +
-                        std::to_string(version));
-    Serializer s(version);
+    CheckpointHeader h;
+    h.seedSalt = seed_salt;
+    h.warmupPerCore = resolveWarmCount(cfg);
+    h.instr = instr;
+    h.numCores = cfg.numCores;
+    h.archId = archIdOf(cfg.arch);
+    h.stateHash = stateHash(cfg, stream_desc, seed_salt, h.warmupPerCore);
+    h.fullHash = fullHash(h.stateHash, cfg);
+    return h;
+}
+
+Checkpoint
+capture(System &sys, CheckpointHeader header)
+{
+    Serializer s;
     s.reserve(payloadSizeHint(sys.config()));
     sys.save(s);
-    header.version = version;
+    header.version = kVersion;
     header.tick = sys.eventQueue().now();
     header.pendingEvents = sys.eventQueue().pending();
     Checkpoint ckpt;
@@ -389,9 +391,7 @@ decodeHeader(Deserializer &d, const std::uint8_t *data,
             throw CkptError("ckpt: not a dapsim checkpoint (bad magic)");
     CheckpointHeader h;
     h.version = d.u32();
-    if (h.version != kVersionV1 && h.version != kVersionV2)
-        throw CkptError("ckpt: unsupported checkpoint version " +
-                        std::to_string(h.version));
+    requireVersion(h.version);
     h.stateHash = d.u64();
     h.fullHash = d.u64();
     h.tick = d.u64();
@@ -458,19 +458,6 @@ void
 writeFile(const std::string &path, const Checkpoint &ckpt)
 {
     const std::vector<std::uint8_t> bytes = encode(ckpt);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw CkptError("ckpt: cannot write " + path);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-        throw CkptError("ckpt: write failed: " + path);
-}
-
-void
-writeFileAtomic(const std::string &path, const Checkpoint &ckpt)
-{
-    const std::vector<std::uint8_t> bytes = encode(ckpt);
     try {
         fsio::atomicWriteFile(path, bytes.data(), bytes.size());
     } catch (const std::exception &e) {
@@ -525,31 +512,41 @@ readFileMapped(const std::string &path)
 
 Checkpoint
 makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
-                     std::uint64_t instr, std::uint64_t seed_salt,
-                     std::uint32_t version)
+                     std::uint64_t instr, std::uint64_t seed_salt)
 {
     if (mix.apps.size() != cfg.numCores)
         throw CkptError("ckpt: mix width != core count");
-
-    CheckpointHeader header;
-    header.seedSalt = seed_salt;
-    header.warmupPerCore = resolveWarmCount(cfg);
-    header.instr = instr;
-    header.numCores = cfg.numCores;
-    header.archId = archIdOf(cfg.arch);
-    header.stateHash = stateHash(cfg, describeMix(mix), seed_salt,
-                                 header.warmupPerCore);
-    header.fullHash = fullHash(header.stateHash, cfg);
-
+    const CheckpointHeader header =
+        warmupHeader(cfg, describeMix(mix), instr, seed_salt);
     cfg.core.instructions = instr;
-    std::vector<AccessGeneratorPtr> gens;
-    gens.reserve(cfg.numCores);
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
-
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(mix, seed_salt));
     sys.warmup(header.warmupPerCore);
-    return capture(sys, header, version);
+    return capture(sys, header);
+}
+
+void
+restoreChecked(System &sys, const SystemConfig &cfg,
+               const std::string &stream_desc, std::uint64_t seed_salt,
+               const CheckpointView &ckpt, bool fork)
+{
+    if (!ckpt)
+        throw CkptError("ckpt: empty checkpoint view");
+    const std::uint64_t want_state = stateHash(
+        cfg, stream_desc, seed_salt, resolveWarmCount(cfg));
+    if (want_state != ckpt.header.stateHash)
+        throw CkptError(
+            "ckpt: configuration/stream mismatch (the checkpoint was "
+            "taken under a different system configuration, workload, "
+            "seed or warm-up length)");
+    if (!fork && fullHash(want_state, cfg) != ckpt.header.fullHash)
+        throw CkptError(
+            "ckpt: policy mismatch (the checkpoint was taken under a "
+            "different partitioning policy; only a warmup-fork restore, "
+            "as in dapsim_sweep --warmup-fork, seeds another policy)");
+    Deserializer d(ckpt.payload, ckpt.payloadSize, ckpt.header.version);
+    sys.restore(d, fork);
+    if (!d.atEnd())
+        throw CkptError("ckpt: trailing bytes after the last section");
 }
 
 RunResult
@@ -560,36 +557,9 @@ runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
 {
     if (mix.apps.size() != cfg.numCores)
         throw CkptError("ckpt: mix width != core count");
-    if (!ckpt)
-        throw CkptError("ckpt: empty checkpoint view");
-
-    const std::uint64_t want_state =
-        stateHash(cfg, describeMix(mix), seed_salt,
-                  resolveWarmCount(cfg));
-    if (want_state != ckpt.header.stateHash)
-        throw CkptError(
-            "ckpt: configuration/stream mismatch (the checkpoint was "
-            "taken under a different system configuration, workload, "
-            "seed or warm-up length)");
-    if (!fork &&
-        fullHash(want_state, cfg) != ckpt.header.fullHash)
-        throw CkptError(
-            "ckpt: policy mismatch (the checkpoint was taken under a "
-            "different partitioning policy; use a warmup-fork restore "
-            "to seed a different policy)");
-
     cfg.core.instructions = instr_per_core;
-    std::vector<AccessGeneratorPtr> gens;
-    gens.reserve(cfg.numCores);
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
-
-    System sys(cfg, std::move(gens));
-    Deserializer d(ckpt.payload, ckpt.payloadSize,
-                   ckpt.header.version);
-    sys.restore(d, fork);
-    if (!d.atEnd())
-        throw CkptError("ckpt: trailing bytes after the last section");
+    System sys(cfg, mixGenerators(mix, seed_salt));
+    restoreChecked(sys, cfg, describeMix(mix), seed_salt, ckpt, fork);
     return runFidelityOn(sys, mix.name, instr_per_core);
 }
 

@@ -1,21 +1,17 @@
 /**
  * @file
- * The `dapsim.ckpt.v1`/`.v2` checkpoint formats and their high-level
- * API.
+ * The `dapsim.ckpt.v2` checkpoint format and its high-level API.
  *
  * A checkpoint captures a System at its quiescent point — tick 0,
  * after functional warm-up, before run() — so a restored run continues
  * bit-identically to an uninterrupted one. The container is a
  * journaled header (magic, version, config hashes, tick) followed by a
  * CRC32-guarded payload of named component sections (System::save).
- *
- * The two versions share the container and section framing and differ
- * only in the payload encoding: v1 is the per-primitive byte stream,
- * v2 (the default for new saves) stores large component arrays as
- * bulk little-endian spans so a restore is a handful of memcpys out
- * of the payload — which CheckpointView/readFileMapped can leave
- * memory-mapped on disk instead of copying onto the heap. Both
- * versions restore; see DESIGN.md §14.
+ * Large component arrays travel as bulk little-endian spans, so a
+ * restore is a handful of memcpys out of the payload — which
+ * CheckpointView/readFileMapped can leave memory-mapped on disk
+ * instead of copying onto the heap. Files of any other version are
+ * refused; see DESIGN.md §7.
  *
  * Two hashes guard restores:
  *  - stateHash covers everything the warm state depends on: the
@@ -50,15 +46,6 @@ namespace dapsim::ckpt
 /** File magic: the first eight bytes of every checkpoint. */
 inline constexpr char kMagic[8] = {'D', 'A', 'P', 'S', 'I', 'M', 'C', 'K'};
 
-/** Per-primitive payload encoding (the "v1" in dapsim.ckpt.v1). */
-inline constexpr std::uint32_t kVersionV1 = 1;
-
-/** Bulk-span payload encoding (dapsim.ckpt.v2, mmap/memcpy restore). */
-inline constexpr std::uint32_t kVersionV2 = 2;
-
-/** Version newly captured checkpoints default to. */
-inline constexpr std::uint32_t kVersion = kVersionV2;
-
 /** Journaled checkpoint header (see DESIGN.md for the byte layout). */
 struct CheckpointHeader
 {
@@ -67,7 +54,7 @@ struct CheckpointHeader
     std::uint64_t stateHash = 0;
     /** stateHash + policy kind/configuration (exact restore). */
     std::uint64_t fullHash = 0;
-    /** Simulated tick of the snapshot; always 0 in v1. */
+    /** Simulated tick of the snapshot; always 0. */
     std::uint64_t tick = 0;
     std::uint64_t seedSalt = 0;
     /** Warm-up accesses per core actually executed before the snapshot. */
@@ -93,10 +80,10 @@ struct Checkpoint
  * A non-owning-by-default window onto a validated checkpoint whose
  * payload bytes may live anywhere: a heap Checkpoint, or a read-only
  * file mapping (readFileMapped). Restores deserialize straight out of
- * @p payload — with a v2 payload the bulk arrays are memcpy'd from
- * the mapping into the component SoA arrays with no intermediate
- * decode or heap copy. @p backing keeps the bytes alive; a view with
- * a null payload means "no checkpoint".
+ * @p payload — the bulk arrays are memcpy'd from the mapping into
+ * the component SoA arrays with no intermediate decode or heap copy.
+ * @p backing keeps the bytes alive; a view with a null payload means
+ * "no checkpoint".
  */
 struct CheckpointView
 {
@@ -122,8 +109,8 @@ std::string describeMix(const Mix &mix);
 /** Stable integer id of an MsArch (the header's archId field). */
 std::uint32_t archIdOf(MsArch arch);
 
-/** The warm-up count runMix would execute for @p cfg (same formula). */
-std::uint64_t resolveWarmCount(const SystemConfig &cfg);
+/** The warm-up count runMix executes for @p cfg (sim/runner.hh). */
+using dapsim::resolveWarmCount;
 
 /**
  * Hash of everything the warm state depends on. Compute from the
@@ -150,13 +137,35 @@ std::uint64_t stateContentHash(const SystemConfig &cfg,
 std::uint64_t fullHash(std::uint64_t state_hash, const SystemConfig &cfg);
 
 /**
+ * The header of a warm-up checkpoint of a system built from @p cfg
+ * (the PRE-construction configuration) driven by the streams
+ * @p stream_desc describes: both config hashes and the bookkeeping
+ * fields. capture() fills in tick and pendingEvents.
+ */
+CheckpointHeader warmupHeader(const SystemConfig &cfg,
+                              const std::string &stream_desc,
+                              std::uint64_t instr,
+                              std::uint64_t seed_salt);
+
+/**
  * Snapshot @p sys (which must be at its quiescent point). The caller
  * provides the header's config hashes and bookkeeping fields; tick and
- * pendingEvents are filled in here. @p version selects the payload
- * encoding (kVersionV1 or kVersionV2).
+ * pendingEvents are filled in here.
  */
-Checkpoint capture(System &sys, CheckpointHeader header,
-                   std::uint32_t version = kVersion);
+Checkpoint capture(System &sys, CheckpointHeader header);
+
+/**
+ * Restore @p ckpt into @p sys, freshly built from @p cfg (the
+ * PRE-construction configuration) and the streams @p stream_desc
+ * describes. Verifies stateHash (and, unless @p fork, fullHash)
+ * first and throws CkptError on a mismatch or on bytes left after
+ * the last section. With @p fork the checkpoint's policy section is
+ * skipped, so a warm-up taken under one policy seeds any policy.
+ */
+void restoreChecked(System &sys, const SystemConfig &cfg,
+                    const std::string &stream_desc,
+                    std::uint64_t seed_salt, const CheckpointView &ckpt,
+                    bool fork = false);
 
 /** Serialize a checkpoint to the on-disk byte layout. */
 std::vector<std::uint8_t> encode(const Checkpoint &ckpt);
@@ -165,8 +174,16 @@ std::vector<std::uint8_t> encode(const Checkpoint &ckpt);
 Checkpoint decode(const std::uint8_t *data, std::size_t size);
 Checkpoint decode(const std::vector<std::uint8_t> &bytes);
 
-/** Write/read the encoded form; throws CkptError on I/O failure. */
+/**
+ * Write the encoded form via temp-file + fsync + atomic rename: a
+ * reader never observes a partially written checkpoint, and
+ * concurrent writers of the same path race benignly (identical
+ * content under the content-addressed `warmup-<statehash>.ckpt`
+ * naming). Throws CkptError on I/O failure.
+ */
 void writeFile(const std::string &path, const Checkpoint &ckpt);
+
+/** Read and decode a file; throws CkptError on I/O failure. */
 Checkpoint readFile(const std::string &path);
 
 /**
@@ -179,30 +196,18 @@ Checkpoint readFile(const std::string &path);
 CheckpointView readFileMapped(const std::string &path);
 
 /**
- * writeFile via temp-file + fsync + atomic rename: a reader never
- * observes a partially written checkpoint, and concurrent writers of
- * the same path race benignly (identical content under the
- * content-addressed `warmup-<statehash>.ckpt` naming). Shared warmup
- * caches must use this form — see exp/warmup_cache.hh.
- */
-void writeFileAtomic(const std::string &path, const Checkpoint &ckpt);
-
-/**
  * Build a System for (cfg, mix, seed_salt), run the functional warm-up
  * and capture the post-warmup checkpoint. @p instr is recorded in the
  * header (and used for the build) but does not affect the warm state.
  */
 Checkpoint makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
                                 std::uint64_t instr,
-                                std::uint64_t seed_salt,
-                                std::uint32_t version = kVersion);
+                                std::uint64_t seed_salt);
 
 /**
- * runMix, but starting from @p ckpt instead of executing the warm-up.
- * Verifies stateHash (and, unless @p fork, fullHash) against the
- * checkpoint before restoring; throws CkptError on mismatch. With
- * @p fork the checkpoint's policy section is skipped, so a warm-up
- * taken under one policy seeds any policy variant.
+ * runMix, but starting from @p ckpt instead of executing the warm-up
+ * (a restoreChecked() of the mix's streams; throws CkptError on a
+ * mismatch).
  */
 RunResult runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
                                std::uint64_t instr_per_core,

@@ -1,8 +1,7 @@
 /**
  * @file
- * Binary serialization primitives for the dapsim checkpoint formats
- * (`dapsim.ckpt.v1` per-primitive streams and the `dapsim.ckpt.v2`
- * bulk-span encoding; see DESIGN.md §14).
+ * Binary serialization primitives for the `dapsim.ckpt.v2` checkpoint
+ * format (see DESIGN.md §7, §14).
  *
  * A Serializer appends fixed-width little-endian primitives into a
  * byte buffer; a Deserializer reads them back with bounds checking.
@@ -46,24 +45,34 @@ class CkptError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** The one payload encoding (the "v2" in dapsim.ckpt.v2). */
+inline constexpr std::uint32_t kVersion = 2;
+
+/** Version arguments are checks, not a mode: anything but kVersion
+ *  throws CkptError. */
+inline void
+requireVersion(std::uint32_t version)
+{
+    if (version != kVersion)
+        throw CkptError("ckpt: unsupported checkpoint version " +
+                        std::to_string(version) +
+                        " (only version " + std::to_string(kVersion) +
+                        " is readable; re-create the file)");
+}
+
 /**
- * Appends primitives to a growable byte buffer.
- *
- * The @p format constructor argument selects the payload encoding
- * components should emit: 1 is the per-primitive `dapsim.ckpt.v1`
- * byte stream, 2 additionally allows the bulk span forms below
- * (`dapsim.ckpt.v2`), which bulk-copy whole arrays so a restore can
- * memcpy them back without a per-element decode loop. Components
- * branch on format() inside their save() methods; both formats share
- * the same section framing.
+ * Appends primitives to a growable byte buffer. Besides the
+ * fixed-width primitives it offers bulk span forms (u64Span, raw)
+ * that copy whole arrays, so a restore can memcpy them back without a
+ * per-element decode loop.
  */
 class Serializer
 {
   public:
-    explicit Serializer(std::uint32_t format = 1) : format_(format) {}
-
-    /** Payload encoding this serializer was opened for (1 or 2). */
-    std::uint32_t format() const { return format_; }
+    explicit Serializer(std::uint32_t version = kVersion)
+    {
+        requireVersion(version);
+    }
 
     /** Size hint: pre-grow the buffer to kill realloc churn on large
      *  snapshots (MS$ sector directories are tens of MBs). */
@@ -129,7 +138,7 @@ class Serializer
     /**
      * Bulk little-endian u64 array (no length prefix; the reader knows
      * the count from its own geometry). On little-endian hosts this is
-     * one memcpy of the whole array. v2-format payloads only.
+     * one memcpy of the whole array.
      */
     void
     u64Span(const std::uint64_t *p, std::size_t n)
@@ -143,7 +152,7 @@ class Serializer
     }
 
     /** Raw object bytes, no length prefix. The writer and reader must
-     *  agree on the exact size; v2-format payloads only. */
+     *  agree on the exact size. */
     void
     raw(const void *p, std::size_t n)
     {
@@ -203,31 +212,25 @@ class Serializer
         }
     }
 
-    std::uint32_t format_;
     std::vector<std::uint8_t> buf_;
     std::vector<std::size_t> lengthAt_;
 };
 
-/** Bounds-checked reader over a byte span. The @p format argument
- *  mirrors Serializer's: components branch on format() to pick the
- *  per-primitive (1) or bulk-span (2) decode path. */
+/** Bounds-checked reader over a byte span. */
 class Deserializer
 {
   public:
     Deserializer(const std::uint8_t *data, std::size_t size,
-                 std::uint32_t format = 1)
-        : data_(data), size_(size), format_(format)
+                 std::uint32_t version = kVersion)
+        : data_(data), size_(size)
     {
+        requireVersion(version);
     }
 
-    explicit Deserializer(const std::vector<std::uint8_t> &buf,
-                          std::uint32_t format = 1)
-        : Deserializer(buf.data(), buf.size(), format)
+    explicit Deserializer(const std::vector<std::uint8_t> &buf)
+        : Deserializer(buf.data(), buf.size())
     {
     }
-
-    /** Payload encoding of the underlying bytes (1 or 2). */
-    std::uint32_t format() const { return format_; }
 
     std::uint8_t
     u8()
@@ -396,7 +399,6 @@ class Deserializer
 
     const std::uint8_t *data_;
     std::size_t size_;
-    std::uint32_t format_;
     std::size_t pos_ = 0;
     std::vector<std::size_t> sectionEnd_;
 };

@@ -37,6 +37,15 @@ checkUnitInterval(const std::string &what, double v)
     return v;
 }
 
+/** Achievable fraction of a peak bandwidth (DAP's E): (0, 1]. */
+inline double
+checkEfficiency(const std::string &what, double v)
+{
+    if (!(v > 0.0 && v <= 1.0))
+        fatal(what + " must be within (0, 1], got " + std::to_string(v));
+    return v;
+}
+
 /** Strictly positive dial (skew exponents, rates). */
 inline double
 checkPositive(const std::string &what, double v)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/validate.hh"
 #include "dap/bandwidth_model.hh"
 
 namespace dapsim::fastfwd
@@ -32,8 +33,7 @@ AnalyticEngine::AnalyticEngine(double b_ms, double b_mm, double b_remote,
 {
     if (b_mm <= 0.0)
         fatal("fastfwd: main-memory bandwidth must be positive");
-    if (efficiency <= 0.0 || efficiency > 1.0)
-        fatal("fastfwd: efficiency must be in (0, 1]");
+    checkEfficiency("fastfwd: efficiency", efficiency);
     if (alpha <= 0.0 || alpha > 1.0)
         fatal("fastfwd: EWMA alpha must be in (0, 1]");
 }

@@ -103,7 +103,7 @@ class AnalyticEngine
     double remotePerInstr() const { return remR_ + remW_; }
     double detailedIpc() const { return ipcDet_; }
 
-    /** Serialize the complete engine state (dapsim.ckpt.v1 section
+    /** Serialize the complete engine state (checkpoint section
      *  discipline: fixed field order, doubles as bit patterns). */
     void save(ckpt::Serializer &s) const;
     void restore(ckpt::Deserializer &d);

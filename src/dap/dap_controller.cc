@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "common/validate.hh"
 
 namespace dapsim
 {
@@ -46,6 +47,7 @@ DapConfig::ratioK() const
         fatal("DapConfig: bandwidths must be set before use");
     if (remotePeakAccPerCycle < 0.0)
         fatal("DapConfig: remote bandwidth must be non-negative");
+    checkEfficiency("DapConfig: efficiency", efficiency);
     // DAP-n: the MS$ is partitioned against the combined lower level;
     // how that lower level splits between DDR and remote is solved
     // separately (dap::solveRemoteSplit). With no remote tier this is

@@ -114,7 +114,8 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
             out.reused = true;
             return true;
         } catch (const std::exception &) {
-            return false; // missing (or torn pre-atomic-write relic)
+            // Missing, torn, or of a refused version: recreate.
+            return false;
         }
     };
 
@@ -151,7 +152,7 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
             }
             try {
                 simulate();
-                ckpt::writeFileAtomic(path, *simulated);
+                ckpt::writeFile(path, *simulated);
             } catch (...) {
                 ::unlink(lock.c_str());
                 throw;

@@ -4,6 +4,7 @@
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
+#include "common/validate.hh"
 #include "sim/presets.hh"
 #include "workload/compose.hh"
 #include "workload/spec.hh"
@@ -52,6 +53,47 @@ splitWorkloadList(const std::string &s)
             out.push_back(tok);
     }
     return out;
+}
+
+bool
+parseGridFlag(GridOptions &opt, const std::string &flag,
+              const std::function<std::string()> &value)
+{
+    if (flag == "--arch")
+        opt.archs = splitList(value());
+    else if (flag == "--policy")
+        opt.policies = splitList(value());
+    else if (flag == "--workload")
+        opt.workloads = splitWorkloadList(value());
+    else if (flag == "--capacity-mb") {
+        opt.capacitiesMb.clear();
+        for (const auto &c : splitList(value()))
+            opt.capacitiesMb.push_back(parseCount(flag, c));
+    } else if (flag == "--cores")
+        opt.cores = parseCount<std::uint32_t>(flag, value());
+    else if (flag == "--instr")
+        opt.instr = parseCount(flag, value());
+    else if (flag == "--seed")
+        opt.seed = parseCount(flag, value());
+    else if (flag == "--warmup")
+        opt.warmup = parseCount(flag, value());
+    else if (flag == "--fidelity")
+        opt.fidelity = value();
+    else if (flag == "--fidelity-detail")
+        opt.fidelityDetail = parseCount(flag, value());
+    else if (flag == "--fidelity-period")
+        opt.fidelityPeriod = parseCount(flag, value());
+    else if (flag == "--remote")
+        opt.remote = true;
+    else if (flag == "--remote-scale")
+        opt.remoteScale = parseReal(flag, value());
+    else if (flag == "--remote-latency-ns")
+        opt.remoteLatencyNs = parseReal(flag, value());
+    else if (flag == "--remote-outstanding")
+        opt.remoteOutstanding = parseCount<std::uint32_t>(flag, value());
+    else
+        return false;
+    return true;
 }
 
 SystemConfig

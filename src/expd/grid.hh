@@ -22,6 +22,7 @@
 #define DAPSIM_EXPD_GRID_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,15 @@ std::vector<std::string> splitList(const std::string &s);
 /** Split a --workload list, folding spec key=value continuations back
  *  into their spec (see dapsim_sweep --workload docs). */
 std::vector<std::string> splitWorkloadList(const std::string &s);
+
+/**
+ * Parse one of the grid flags dapsim_sweep and dapsim_expd share
+ * (--arch ... --remote-outstanding, one per GridOptions field) into
+ * @p opt; @p value yields the flag's argument. Returns false, consuming
+ * nothing, for any other flag; fatal() on a malformed value.
+ */
+bool parseGridFlag(GridOptions &opt, const std::string &flag,
+                   const std::function<std::string()> &value);
 
 /** Base SystemConfig for an arch name + capacity; fatal() on unknown
  *  arch names (reject before submission, like other config errors). */

@@ -16,12 +16,7 @@ void
 AlloyFrames::save(ckpt::Serializer &s) const
 {
     s.u64(frames_.size());
-    if (s.format() >= 2) {
-        s.u64Span(frames_.data(), frames_.size());
-        return;
-    }
-    for (const std::uint64_t w : frames_)
-        s.u64(w);
+    s.u64Span(frames_.data(), frames_.size());
 }
 
 void
@@ -29,12 +24,7 @@ AlloyFrames::restore(ckpt::Deserializer &d)
 {
     if (d.u64() != frames_.size())
         throw ckpt::CkptError("ckpt: Alloy frame count mismatch");
-    if (d.format() >= 2) {
-        d.u64Span(frames_.data(), frames_.size());
-    } else {
-        for (std::uint64_t &w : frames_)
-            w = d.u64();
-    }
+    d.u64Span(frames_.data(), frames_.size());
     // The lookup compare relies on reserved bits being zero, and an
     // empty frame is the zero word: refuse anything else rather than
     // restore a store whose hits are undefined.

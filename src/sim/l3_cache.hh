@@ -118,9 +118,12 @@ class L3Cache
     Average readMissLatency;
 
   private:
+    /** The dirty flag is a byte, not a bool: checkpoints restore the
+     *  value array raw, so a crafted byte other than 0/1 must not
+     *  load an invalid bool (any non-zero byte reads as dirty). */
     struct Line
     {
-        bool dirty = false;
+        std::uint8_t dirty = 0;
     };
 
     std::uint64_t setOf(Addr a) const

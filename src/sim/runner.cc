@@ -6,6 +6,25 @@
 namespace dapsim
 {
 
+std::uint64_t
+resolveWarmCount(const SystemConfig &cfg)
+{
+    std::uint64_t warm = cfg.warmupAccessesPerCore;
+    if (warm == 0)
+        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes) / cfg.numCores;
+    return warm;
+}
+
+std::vector<AccessGeneratorPtr>
+mixGenerators(const Mix &mix, std::uint64_t seed_salt)
+{
+    std::vector<AccessGeneratorPtr> gens;
+    gens.reserve(mix.apps.size());
+    for (std::uint32_t i = 0; i < mix.apps.size(); ++i)
+        gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
+    return gens;
+}
+
 RunResult
 runMix(SystemConfig cfg, const Mix &mix, std::uint64_t instr_per_core,
        std::uint64_t seed_salt)
@@ -14,17 +33,8 @@ runMix(SystemConfig cfg, const Mix &mix, std::uint64_t instr_per_core,
         fatal("runMix: mix width != core count");
     cfg.core.instructions = instr_per_core;
 
-    std::vector<AccessGeneratorPtr> gens;
-    gens.reserve(cfg.numCores);
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
-
-    System sys(cfg, std::move(gens));
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes) /
-               cfg.numCores;
-    sys.warmup(warm);
+    System sys(cfg, mixGenerators(mix, seed_salt));
+    sys.warmup(resolveWarmCount(cfg));
     return runFidelityOn(sys, mix.name, instr_per_core);
 }
 
@@ -39,10 +49,7 @@ aloneIpc(SystemConfig cfg, const WorkloadProfile &profile,
     gens.push_back(makeGenerator(profile, 0, seed_salt));
 
     System sys(cfg, std::move(gens));
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes);
-    sys.warmup(warm);
+    sys.warmup(resolveWarmCount(cfg));
     sys.run();
     return sys.core(0).finished()
                ? sys.core(0).finishIpc()

@@ -9,6 +9,7 @@
 #define DAPSIM_SIM_RUNNER_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -16,6 +17,14 @@
 
 namespace dapsim
 {
+
+/** Warm-up accesses per core for @p cfg: its warmupAccessesPerCore,
+ *  or, when that is 0, twice the MS$ block count over the cores. */
+std::uint64_t resolveWarmCount(const SystemConfig &cfg);
+
+/** One access generator per core of @p mix, seeded with @p seed_salt. */
+std::vector<AccessGeneratorPtr> mixGenerators(const Mix &mix,
+                                              std::uint64_t seed_salt);
 
 /** Run @p mix on @p cfg, each core retiring @p instr_per_core. */
 RunResult runMix(SystemConfig cfg, const Mix &mix,

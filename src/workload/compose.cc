@@ -1,5 +1,7 @@
 #include "workload/compose.hh"
 
+#include <cstdio>
+
 #include "common/log.hh"
 #include "common/validate.hh"
 #include "workload/spec.hh"
@@ -194,6 +196,22 @@ composeWorkload(const std::string &workload, std::uint32_t cores)
         out.coreTenants.push_back(ps.kind);
     }
     return out;
+}
+
+void
+printCatalog()
+{
+    std::printf("profiles:\n");
+    for (const auto &w : allWorkloads())
+        std::printf("  %-18s %s\n", w.name.c_str(),
+                    w.bandwidthSensitive ? "bandwidth-sensitive"
+                                         : "bandwidth-insensitive");
+    std::printf("workload-engine specs (kind:key=value,...):\n");
+    for (const auto &info : specInfos()) {
+        std::printf("  %-18s %s\n", info.kind, info.help);
+        for (const auto &p : info.params)
+            std::printf("    %-16s %s\n", p.key, p.help);
+    }
 }
 
 } // namespace dapsim::workload

@@ -50,6 +50,10 @@ struct ComposedMix
 ComposedMix composeWorkload(const std::string &workload,
                             std::uint32_t cores);
 
+/** Print the classic profiles and the engine spec kinds with their
+ *  keys to stdout (the CLIs' `--list` table). */
+void printCatalog();
+
 } // namespace dapsim::workload
 
 #endif // DAPSIM_WORKLOAD_COMPOSE_HH

@@ -7,12 +7,12 @@
  * fuzz test (test_assoc_cache_diff.cc) replays randomized access
  * streams through this array-of-structures directory and the
  * production SoA one and asserts identical hits, victims, occupancy
- * and v1 checkpoint bytes; bench/kernel_events.cpp uses it as the
+ * and checkpoint bytes; bench/kernel_events.cpp uses it as the
  * "before" side of the per-access microbenchmarks.
  *
- * Do not optimise or otherwise modify this type: its value is that it
- * implements the replacement contract (invalid-way-first, NRU
- * clear-on-saturation, LRU with lowest-way-wins ties) in the most
+ * Do not optimise or otherwise modify its replacement logic: its value
+ * is that it implements the replacement contract (invalid-way-first,
+ * NRU clear-on-saturation, LRU with lowest-way-wins ties) in the most
  * obviously correct way.
  */
 
@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/assoc_cache.hh" // ReplPolicy
@@ -181,8 +182,14 @@ class RefAssocCache
         return n;
     }
 
-    /** v1 checkpoint encode — identical layout to the production
-     *  directory's v1 save (see assoc_cache.hh). */
+    /**
+     * Checkpoint encode in the production directory's layout (see
+     * AssocCache::save), built line by line from the AoS records:
+     * geometry, use clock, every tag, the per-set valid and NRU
+     * masks, every lastUse, then the value encoding tag and the
+     * values (raw bytes when Value has unique object representations
+     * on a little-endian host, else one save_value() per line).
+     */
     template <typename SaveValue>
     void
     save(ckpt::Serializer &s, SaveValue &&save_value) const
@@ -191,30 +198,28 @@ class RefAssocCache
         s.u32(ways_);
         s.u32(static_cast<std::uint32_t>(policy_));
         s.u64(useClock_);
-        for (const Line &l : lines_) {
+        for (const Line &l : lines_)
             s.u64(l.tag);
-            s.boolean(l.valid);
-            s.boolean(l.nruRef);
+        for (bool Line::*bit : {&Line::valid, &Line::nruRef})
+            for (std::uint64_t set = 0; set < sets_; ++set) {
+                std::uint64_t mask = 0;
+                for (std::uint32_t w = 0; w < ways_; ++w)
+                    if (at(set, w).*bit)
+                        mask |= std::uint64_t(1) << w;
+                s.u64(mask);
+            }
+        for (const Line &l : lines_)
             s.u64(l.lastUse);
-            save_value(s, l.value);
-        }
-    }
-
-    template <typename RestoreValue>
-    void
-    restore(ckpt::Deserializer &d, RestoreValue &&restore_value)
-    {
-        if (d.u64() != sets_ || d.u32() != ways_ ||
-            d.u32() != static_cast<std::uint32_t>(policy_))
-            throw ckpt::CkptError(
-                "ckpt: cache directory geometry mismatch");
-        useClock_ = d.u64();
-        for (Line &l : lines_) {
-            l.tag = d.u64();
-            l.valid = d.boolean();
-            l.nruRef = d.boolean();
-            l.lastUse = d.u64();
-            restore_value(d, l.value);
+        constexpr bool raw =
+            std::has_unique_object_representations_v<Value> &&
+            std::is_trivially_copyable_v<Value> &&
+            ckpt::kHostIsLittleEndian;
+        s.u8(raw ? 1 : 0);
+        for (const Line &l : lines_) {
+            if constexpr (raw)
+                s.raw(&l.value, sizeof(Value));
+            else
+                save_value(s, l.value);
         }
     }
 

@@ -8,8 +8,8 @@
  * and dirty updates through both and requires identical set mapping,
  * presence, dirty bits and victims at every step, for power-of-two and
  * other set counts and for block numbers near the 2^58 tag limit. The
- * checkpoint tests pin the v1/v2 round trip and the refusal of
- * malformed frame words.
+ * checkpoint tests pin the round trip and the refusal of malformed
+ * frame words.
  */
 
 #include <gtest/gtest.h>
@@ -157,13 +157,13 @@ filledFrames(std::uint64_t sets)
     return f;
 }
 
-class AlloyFramesCkpt : public ::testing::TestWithParam<std::uint32_t>
+class AlloyFramesCkpt : public ::testing::Test
 {
   protected:
     std::vector<std::uint8_t>
     saved(const AlloyFrames &f) const
     {
-        ckpt::Serializer s(GetParam());
+        ckpt::Serializer s;
         f.save(s);
         return s.buffer();
     }
@@ -171,7 +171,7 @@ class AlloyFramesCkpt : public ::testing::TestWithParam<std::uint32_t>
     void
     restoreInto(AlloyFrames &f, const std::vector<std::uint8_t> &b) const
     {
-        ckpt::Deserializer d(b, GetParam());
+        ckpt::Deserializer d(b);
         f.restore(d);
         EXPECT_TRUE(d.atEnd());
     }
@@ -187,7 +187,7 @@ class AlloyFramesCkpt : public ::testing::TestWithParam<std::uint32_t>
     }
 };
 
-TEST_P(AlloyFramesCkpt, RoundTripsEveryFrame)
+TEST_F(AlloyFramesCkpt, RoundTripsEveryFrame)
 {
     const AlloyFrames a = filledFrames(100);
     const std::vector<std::uint8_t> b = saved(a);
@@ -198,14 +198,14 @@ TEST_P(AlloyFramesCkpt, RoundTripsEveryFrame)
         EXPECT_EQ(r[s], a[s]) << "set " << s;
 }
 
-TEST_P(AlloyFramesCkpt, RefusesSetCountMismatch)
+TEST_F(AlloyFramesCkpt, RefusesSetCountMismatch)
 {
     const std::vector<std::uint8_t> b = saved(filledFrames(100));
     AlloyFrames other(128);
     EXPECT_THROW(restoreInto(other, b), ckpt::CkptError);
 }
 
-TEST_P(AlloyFramesCkpt, RefusesReservedBits)
+TEST_F(AlloyFramesCkpt, RefusesReservedBits)
 {
     const std::vector<std::uint8_t> b = saved(filledFrames(100));
     for (int bit = 58; bit < 62; ++bit) {
@@ -219,7 +219,7 @@ TEST_P(AlloyFramesCkpt, RefusesReservedBits)
     }
 }
 
-TEST_P(AlloyFramesCkpt, RefusesDirtyWithoutValid)
+TEST_F(AlloyFramesCkpt, RefusesDirtyWithoutValid)
 {
     const std::vector<std::uint8_t> b = saved(filledFrames(100));
     AlloyFrames r(100);
@@ -230,15 +230,12 @@ TEST_P(AlloyFramesCkpt, RefusesDirtyWithoutValid)
                  ckpt::CkptError);
 }
 
-TEST_P(AlloyFramesCkpt, RefusesTagWithoutValid)
+TEST_F(AlloyFramesCkpt, RefusesTagWithoutValid)
 {
     const std::vector<std::uint8_t> b = saved(filledFrames(100));
     AlloyFrames r(100);
     EXPECT_THROW(restoreInto(r, withWord(b, 9, 5)), ckpt::CkptError);
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, AlloyFramesCkpt,
-                         ::testing::Values(1u, 2u));
 
 } // namespace
 } // namespace dapsim

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the checkpoint subsystem: serializer framing, the
- * dapsim.ckpt.v1 container, bit-identical save/restore across every
+ * dapsim.ckpt.v2 container, bit-identical save/restore across every
  * MS$ architecture and partitioning policy, mismatch rejection, and
  * the sweep runner's warmup-fork mode.
  */
@@ -249,6 +249,10 @@ TEST(Ckpt, DecodeRejectsCorruption)
     bad_version[8] = 0x63; // the version u32 follows the 8-byte magic
     EXPECT_THROW(ckpt::decode(bad_version), ckpt::CkptError);
 
+    std::vector<std::uint8_t> v1 = bytes;
+    v1[8] = 1; // the retired per-primitive encoding
+    EXPECT_THROW(ckpt::decode(v1), ckpt::CkptError);
+
     std::vector<std::uint8_t> truncated = bytes;
     truncated.pop_back();
     EXPECT_THROW(ckpt::decode(truncated), ckpt::CkptError);
@@ -278,7 +282,7 @@ TEST(Ckpt, AtomicWriteIsNeverTornUnderConcurrentWriters)
 {
     // Regression test for the shared-warmup-cache reuse race: two
     // sweeps publishing the same checkpoint path concurrently while a
-    // third loads it. writeFileAtomic (temp file + rename) guarantees
+    // third loads it. writeFile (temp file + rename) guarantees
     // a reader only ever sees one writer's COMPLETE bytes.
     const std::string path = (std::filesystem::temp_directory_path() /
                               "dapsim_test_atomic.ckpt")
@@ -296,15 +300,15 @@ TEST(Ckpt, AtomicWriteIsNeverTornUnderConcurrentWriters)
     constexpr int kRounds = 200;
     std::atomic<bool> stop{false};
     std::atomic<int> torn{0};
-    ckpt::writeFileAtomic(path, a);
+    ckpt::writeFile(path, a);
 
     std::thread writer_a([&] {
         for (int i = 0; i < kRounds; ++i)
-            ckpt::writeFileAtomic(path, a);
+            ckpt::writeFile(path, a);
     });
     std::thread writer_b([&] {
         for (int i = 0; i < kRounds; ++i)
-            ckpt::writeFileAtomic(path, b);
+            ckpt::writeFile(path, b);
     });
     std::thread reader([&] {
         while (!stop.load()) {
@@ -377,26 +381,15 @@ TEST(Ckpt, TieredDapRestoreIsBitIdentical)
 TEST(Ckpt, WarmPayloadLayoutIsPinned)
 {
     const Mix mix = tinyMix("mcf");
-    const auto payloadHash = [&](const SystemConfig &cfg,
-                                 std::uint32_t version) {
+    const auto payloadHash = [&](const SystemConfig &cfg) {
         return ckpt::fnv1a(
-            ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7, version)
-                .payload);
+            ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7).payload);
     };
-    EXPECT_EQ(payloadHash(sectoredTiny(), ckpt::kVersionV1),
-              0x5f6d5cbf7bedf66cULL);
-    EXPECT_EQ(payloadHash(sectoredTiny(), ckpt::kVersionV2),
-              0xa947e5d1ee9d9748ULL);
-    EXPECT_EQ(payloadHash(edramTiny(), ckpt::kVersionV1),
-              0xb61931a41a976aeaULL);
-    EXPECT_EQ(payloadHash(edramTiny(), ckpt::kVersionV2),
-              0x8a297daa742ec50dULL);
+    EXPECT_EQ(payloadHash(sectoredTiny()), 0xa947e5d1ee9d9748ULL);
+    EXPECT_EQ(payloadHash(edramTiny()), 0x8a297daa742ec50dULL);
     // Alloy: one packed word per frame (tagged "alloy.frames.v1" in
     // the stateHash, see StateHashLayoutTagIsAlloyOnly).
-    EXPECT_EQ(payloadHash(alloyTiny(), ckpt::kVersionV1),
-              0x8511887158731826ULL);
-    EXPECT_EQ(payloadHash(alloyTiny(), ckpt::kVersionV2),
-              0x5bc783657d788d2aULL);
+    EXPECT_EQ(payloadHash(alloyTiny()), 0x5bc783657d788d2aULL);
 }
 
 /**
@@ -438,10 +431,7 @@ restoreAcross(const SystemConfig &from, const SystemConfig &into)
 {
     const Mix mix = tinyMix("mcf");
     auto build = [&](const SystemConfig &cfg) {
-        std::vector<AccessGeneratorPtr> gens;
-        for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-            gens.push_back(makeGenerator(mix.apps[i], i, 0));
-        return std::make_unique<System>(cfg, std::move(gens));
+        return std::make_unique<System>(cfg, mixGenerators(mix, 0));
     };
     ckpt::Serializer s;
     build(from)->save(s);
@@ -529,7 +519,7 @@ restoreTwoTierIntoTiered()
 
 TEST(Ckpt, TwoTierCheckpointRefusedInTieredConfig)
 {
-    // A v1 checkpoint taken without the remote tier has no "remote"
+    // A checkpoint taken without the remote tier has no "remote"
     // section: restoring it into a 3-tier config must fail with a
     // message naming the missing tier, not a generic framing error.
     const std::string msg = restoreTwoTierIntoTiered();
@@ -608,11 +598,7 @@ TEST(Ckpt, CaptureRequiresQuiescentPoint)
 {
     SystemConfig cfg = noneTiny();
     cfg.core.instructions = kInstr;
-    const Mix mix = tinyMix("mcf");
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i, 0));
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(tinyMix("mcf"), 0));
     sys.warmup(1);
     sys.run();
     ckpt::Serializer s;
@@ -713,39 +699,65 @@ TEST(SweepWarmupFork, CkptDirIsReusedAcrossSweeps)
     std::filesystem::remove_all(dir);
 }
 
-/** Mid-stream v1 <-> v2 round trip: the same warm state captured in
- *  both payload encodings restores to bit-identical runs, and a v1
- *  checkpoint (legacy files) still restores under the v2-default
- *  code. */
-TEST(CkptV2, V1AndV2CapturesRestoreBitIdentically)
+/** Write @p bytes to @p path (no atomicity: test fixtures only). */
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
 {
-    const SystemConfig cfg = sectoredTiny();
-    const Mix mix = tinyMix("mcf");
-    const RunResult direct = runMix(cfg, mix, kInstr, 7);
-
-    const ckpt::Checkpoint v1 = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV1);
-    const ckpt::Checkpoint v2 = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV2);
-    EXPECT_EQ(v1.header.version, 1u);
-    EXPECT_EQ(v2.header.version, 2u);
-    EXPECT_EQ(v1.header.stateHash, v2.header.stateHash);
-    EXPECT_EQ(v1.header.fullHash, v2.header.fullHash);
-
-    expectIdentical(direct,
-                    ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7, v1));
-    expectIdentical(direct,
-                    ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7, v2));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
-/** v2 forks skip the policy section exactly like v1 forks. */
+/** addPolicyGrid's warm-up checkpoint under a version-1 header, as
+ *  a file from before that encoding was retired would carry it. */
+std::vector<std::uint8_t>
+versionOneImage()
+{
+    std::vector<std::uint8_t> bytes = ckpt::encode(ckpt::makeWarmupCheckpoint(
+        sectoredTiny(), tinyMix("mcf"), kInstr, 0));
+    bytes[8] = 1; // the version u32 follows the 8-byte magic
+    return bytes;
+}
+
+TEST(SweepWarmupFork, VersionOneFileInCkptDirIsRegenerated)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "dapsim_ckpt_dir_v1")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    exp::JobSpec spec;
+    spec.cfg = sectoredTiny();
+    spec.mix = tinyMix("mcf");
+    spec.instr = kInstr;
+    const std::string path =
+        exp::WarmupCache(dir).checkpointPath(exp::warmupStateHash(spec));
+    writeBytes(path, versionOneImage());
+
+    exp::SweepRunner plain, forked;
+    addPolicyGrid(plain);
+    addPolicyGrid(forked);
+    forked.setWarmupFork(true, dir);
+    const auto base = plain.run(1);
+    const auto fork = forked.run(2);
+    EXPECT_EQ(forked.warmupsExecuted(), 1u); // the v1 file was not used
+    EXPECT_EQ(ckpt::readFile(path).header.version, ckpt::kVersion);
+    ASSERT_EQ(base.size(), fork.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        ASSERT_TRUE(fork[i].ok) << fork[i].error;
+        expectIdentical(base[i].result, fork[i].result);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/** Forks skip the policy section: a baseline warm-up seeds DAP. */
 TEST(CkptV2, V2ForkSeedsOtherPolicies)
 {
     SystemConfig cfg = sectoredTiny();
     cfg.policy = PolicyKind::Baseline;
     const Mix mix = tinyMix("mcf");
-    const ckpt::Checkpoint ck = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV2);
+    const ckpt::Checkpoint ck =
+        ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7);
 
     SystemConfig dap = cfg;
     dap.policy = PolicyKind::Dap;
@@ -767,7 +779,7 @@ TEST(CkptV2, MappedReadMatchesHeapRead)
     const std::string path =
         (std::filesystem::temp_directory_path() / "dapsim_v2_map.ckpt")
             .string();
-    ckpt::writeFileAtomic(path, ck);
+    ckpt::writeFile(path, ck);
 
     const ckpt::Checkpoint heap = ckpt::readFile(path);
     ckpt::CheckpointView mapped = ckpt::readFileMapped(path);
@@ -785,6 +797,18 @@ TEST(CkptV2, MappedReadMatchesHeapRead)
     std::filesystem::remove(path);
 }
 
+/** A version-1 file is refused by both readers. */
+TEST(CkptV2, ReadersRefuseVersionOne)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "dapsim_v1.ckpt")
+            .string();
+    writeBytes(path, versionOneImage());
+    EXPECT_THROW((void)ckpt::readFileMapped(path), ckpt::CkptError);
+    EXPECT_THROW((void)ckpt::readFile(path), ckpt::CkptError);
+    std::filesystem::remove(path);
+}
+
 /** Corrupt payload bytes are rejected by the mapped reader too. */
 TEST(CkptV2, MappedReadRejectsCorruption)
 {
@@ -797,11 +821,7 @@ TEST(CkptV2, MappedReadRejectsCorruption)
             .string();
     std::vector<std::uint8_t> bytes = ckpt::encode(ck);
     bytes[bytes.size() - 1] ^= 0xff;
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeBytes(path, bytes);
     EXPECT_THROW((void)ckpt::readFileMapped(path), ckpt::CkptError);
     std::filesystem::remove(path);
 }

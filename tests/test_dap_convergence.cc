@@ -81,11 +81,7 @@ TEST(DapConvergence, ThreadAwareIfrmSparesMaskedCores)
     cfg.dap.ifrmCoreMask = 0xF0;
     cfg.core.instructions = 30'000;
 
-    std::vector<AccessGeneratorPtr> gens;
-    const Mix mix = hungryMix();
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(mix.apps[i], i));
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(hungryMix(), 0));
     sys.warmup(20'000);
     sys.run();
 

@@ -44,6 +44,16 @@ TEST(DapConfigDeathTest, UnsetBandwidthIsFatal)
     EXPECT_DEATH((void)cfg.ratioK(), "bandwidths");
 }
 
+TEST(DapConfigDeathTest, EfficiencyOutsideUnitIntervalIsFatal)
+{
+    for (double e : {-1.0, 0.0, 7.0}) {
+        DapConfig cfg = baseConfig();
+        cfg.efficiency = e;
+        EXPECT_DEATH(DapPolicy{cfg}, "efficiency must be within")
+            << "E = " << e;
+    }
+}
+
 WindowCounters
 heavyWindow()
 {

@@ -147,12 +147,7 @@ TEST(FidelityExact, BitIdenticalOnZipfDrift)
         "zipf:skew=0.99,fp=512K,drift=rotate,period=20000,mpki=30",
         cfg.numCores);
     cfg.obs.coreTenants = cm.coreTenants;
-    auto gens = [&cm, &cfg] {
-        std::vector<AccessGeneratorPtr> g;
-        for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-            g.push_back(makeGenerator(cm.mix.apps[i], i));
-        return g;
-    };
+    auto gens = [&cm] { return mixGenerators(cm.mix, 0); };
     expectExactBitIdentity(cfg, gens(), gens());
 }
 
@@ -232,10 +227,7 @@ goldenBandwidth(const Scenario &s, RunResult &result_out)
 {
     SystemConfig cfg = s.cfg;
     cfg.core.instructions = kErrInstr;
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(s.mix.apps[i], i));
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(s.mix, 0));
     sys.warmup(cfg.warmupAccessesPerCore);
     result_out = runFidelityOn(sys, s.mix.name, kErrInstr);
     const System::SourceSnapshot snap = sys.sourceSnapshot();

@@ -101,10 +101,7 @@ runZipfDriftScenario()
         "zipf:skew=0.99,fp=512K,drift=rotate,period=20000,mpki=30",
         cfg.numCores);
     cfg.obs.coreTenants = cm.coreTenants;
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(cm.mix.apps[i], i));
-    System sys(cfg, std::move(gens));
+    System sys(cfg, mixGenerators(cm.mix, 0));
     sys.warmup(cfg.warmupAccessesPerCore);
     sys.run();
     std::ostringstream os;

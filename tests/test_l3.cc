@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "memside/sectored_dram_cache.hh"
 #include "policy_stub.hh"
 #include "sim/l3_cache.hh"
@@ -152,6 +154,28 @@ TEST_F(L3Test, MissRatioTracksCounts)
     read(0x6000); // miss
     read(0x6000); // hit
     EXPECT_NEAR(l3.missRatio(), 0.5, 1e-12);
+}
+
+/** Crafted value bytes other than 0/1 restore without undefined
+ *  behaviour (the dirty flag is a byte, not a bool) and read dirty. */
+TEST_F(L3Test, RestoresNonBooleanDirtyBytesAsDirty)
+{
+    const std::size_t lines = l3Config().capacityBytes / kBlockBytes;
+    for (Addr a = 0; a < lines; ++a)
+        read(a * kBlockBytes); // clean lines
+    ckpt::Serializer s;
+    l3.save(s);
+    std::vector<std::uint8_t> img = s.buffer();
+    // Tail: raw-value tag 1, one byte per line, six 8-byte stats.
+    const std::size_t values = img.size() - 6 * 8 - lines;
+    ASSERT_EQ(img[values - 1], 1u);
+    std::fill_n(img.begin() + values, lines, 2);
+    ckpt::Deserializer d(img);
+    l3.restore(d);
+    EXPECT_TRUE(d.atEnd());
+    for (Addr a = lines; a < 3 * lines; ++a)
+        read(a * kBlockBytes);
+    EXPECT_GT(l3.writebacksToMs.value(), 0u);
 }
 
 } // namespace

@@ -105,5 +105,28 @@ TEST(TagCache, CapacityThrashingRaisesMissRatio)
     EXPECT_GT(tc.missRatio(), 0.9);
 }
 
+/** A crafted value byte other than 0/1 restores without undefined
+ *  behaviour (the dirty flag is a byte, not a bool) and reads dirty. */
+TEST(TagCache, RestoresNonBooleanDirtyByteAsDirty)
+{
+    TagCacheConfig c;
+    c.entries = 4; // 1 set x 4 ways
+    c.ways = 4;
+    TagCache tc(c), back(c);
+    tc.access(0); // clean, way 0
+    ckpt::Serializer s;
+    tc.save(s);
+    std::vector<std::uint8_t> img = s.buffer();
+    // Tail: raw-value tag 1, four value bytes, three u64 counters.
+    ASSERT_EQ(img[img.size() - 24 - 5], 1u);
+    img[img.size() - 24 - 4] = 2;
+    ckpt::Deserializer d(img);
+    back.restore(d);
+    EXPECT_TRUE(d.atEnd());
+    for (std::uint64_t set = 1; set < 4; ++set)
+        back.access(set);
+    EXPECT_TRUE(back.access(4).writebackNeeded); // evicts set 0's entry
+}
+
 } // namespace
 } // namespace dapsim

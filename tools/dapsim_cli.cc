@@ -49,7 +49,6 @@ struct Options
     std::uint64_t seed = 0;
     std::string saveCkpt;
     std::string restoreCkpt;
-    std::uint32_t ckptFormat = ckpt::kVersion;
     bool stats = false;
     bool remote = false;
     double remoteScale = 4.0;
@@ -78,7 +77,8 @@ usage()
         "  --instr N            instructions per core (default 120000)\n"
         "  --capacity-mb N      override MS$ capacity\n"
         "  --window W           DAP window in CPU cycles (default 64)\n"
-        "  --efficiency E       DAP bandwidth efficiency (default 0.75)\n"
+        "  --efficiency E       DAP bandwidth efficiency in (0, 1]\n"
+        "                       (default 0.75)\n"
         "  --seed N             workload seed salt\n"
         "  --fidelity MODE      exact (default) | sampled | analytic\n"
         "  --fidelity-detail N  sampled: detailed instructions per "
@@ -94,9 +94,6 @@ usage()
         "  --save-ckpt FILE     snapshot the post-warmup state to FILE\n"
         "  --restore-ckpt FILE  skip warm-up; restore the state from "
         "FILE\n"
-        "  --ckpt-format v1|v2  encoding for --save-ckpt (default v2:\n"
-        "                       bulk-span, memcpy restore; v1 = legacy\n"
-        "                       per-primitive stream)\n"
         "  --sample-every N     sample stats every N CPU cycles\n"
         "  --sample-out FILE    time-series output (with "
         "--sample-every)\n"
@@ -195,7 +192,7 @@ main(int argc, char **argv)
         else if (a == "--window")
             opt.window = parseCount(a, value());
         else if (a == "--efficiency")
-            opt.efficiency = parseReal(a, value());
+            opt.efficiency = checkEfficiency(a, parseReal(a, value()));
         else if (a == "--seed")
             opt.seed = parseCount(a, value());
         else if (a == "--fidelity")
@@ -216,15 +213,6 @@ main(int argc, char **argv)
             opt.saveCkpt = value();
         else if (a == "--restore-ckpt")
             opt.restoreCkpt = value();
-        else if (a == "--ckpt-format") {
-            const std::string v = value();
-            if (v == "v1")
-                opt.ckptFormat = ckpt::kVersionV1;
-            else if (v == "v2")
-                opt.ckptFormat = ckpt::kVersionV2;
-            else
-                fatal("--ckpt-format must be v1 or v2");
-        }
         else if (a == "--sample-every")
             opt.obs.sampleEvery = parseCount(a, value());
         else if (a == "--sample-out")
@@ -244,19 +232,7 @@ main(int argc, char **argv)
         else if (a == "--stats")
             opt.stats = true;
         else if (a == "--list") {
-            std::printf("profiles:\n");
-            for (const auto &w : allWorkloads())
-                std::printf("  %-18s %s\n", w.name.c_str(),
-                            w.bandwidthSensitive
-                                ? "bandwidth-sensitive"
-                                : "bandwidth-insensitive");
-            std::printf("workload-engine specs "
-                        "(kind:key=value,...):\n");
-            for (const auto &info : workload::specInfos()) {
-                std::printf("  %-18s %s\n", info.kind, info.help);
-                for (const auto &p : info.params)
-                    std::printf("    %-16s %s\n", p.key, p.help);
-            }
+            workload::printCatalog();
             return 0;
         } else {
             usage();
@@ -289,60 +265,33 @@ main(int argc, char **argv)
         // runs keep their exact historical stats row set.
         if (workload::looksLikeSpec(opt.workload))
             cfg.obs.coreTenants = cm.coreTenants;
-        for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-            gens.push_back(makeGenerator(cm.mix.apps[i], i, opt.seed));
+        gens = mixGenerators(cm.mix, opt.seed);
     }
 
-    // Both hashes come from the PRE-construction configuration (the
-    // System constructor derives fields in its own copy).
-    const std::uint64_t warm = ckpt::resolveWarmCount(cfg);
-    const std::uint64_t state_hash =
-        ckpt::stateHash(cfg, stream_desc, opt.seed, warm);
-    const std::uint64_t full_hash = ckpt::fullHash(state_hash, cfg);
-
+    // `cfg` stays the PRE-construction configuration the checkpoint
+    // hashes are taken from (System derives fields in its own copy).
     System sys(cfg, std::move(gens));
     try {
         if (!opt.restoreCkpt.empty()) {
-            // Mapped read: v2 payload arrays restore by memcpy straight
-            // out of the page cache (v1 streams decode from it too).
+            // Mapped read: payload arrays restore by memcpy straight
+            // out of the page cache.
             const ckpt::CheckpointView c =
                 ckpt::readFileMapped(opt.restoreCkpt);
-            if (c.header.stateHash != state_hash)
-                throw ckpt::CkptError(
-                    "ckpt: configuration/stream mismatch (the "
-                    "checkpoint was taken under a different system "
-                    "configuration, workload, seed or warm-up "
-                    "length)");
-            if (c.header.fullHash != full_hash)
-                throw ckpt::CkptError(
-                    "ckpt: policy mismatch (the checkpoint was taken "
-                    "under a different partitioning policy)");
-            ckpt::Deserializer d(c.payload, c.payloadSize,
-                                 c.header.version);
-            sys.restore(d);
-            if (!d.atEnd())
-                throw ckpt::CkptError(
-                    "ckpt: trailing bytes after the last section");
+            ckpt::restoreChecked(sys, cfg, stream_desc, opt.seed, c);
             std::printf("restored %s (%llu warm-up accesses/core)\n",
                         opt.restoreCkpt.c_str(),
                         static_cast<unsigned long long>(
                             c.header.warmupPerCore));
         } else {
-            sys.warmup(warm);
+            sys.warmup(ckpt::resolveWarmCount(cfg));
             if (!opt.saveCkpt.empty()) {
-                ckpt::CheckpointHeader h;
-                h.stateHash = state_hash;
-                h.fullHash = full_hash;
-                h.seedSalt = opt.seed;
-                h.warmupPerCore = warm;
-                h.instr = opt.instr;
-                h.numCores = cfg.numCores;
-                h.archId = ckpt::archIdOf(cfg.arch);
-                ckpt::writeFile(opt.saveCkpt,
-                                ckpt::capture(sys, h, opt.ckptFormat));
+                const ckpt::CheckpointHeader h = ckpt::warmupHeader(
+                    cfg, stream_desc, opt.instr, opt.seed);
+                ckpt::writeFile(opt.saveCkpt, ckpt::capture(sys, h));
                 std::printf("saved %s (%llu warm-up accesses/core)\n",
                             opt.saveCkpt.c_str(),
-                            static_cast<unsigned long long>(warm));
+                            static_cast<unsigned long long>(
+                                h.warmupPerCore));
             }
         }
     } catch (const ckpt::CkptError &e) {

@@ -241,41 +241,10 @@ main(int argc, char **argv)
                 usage();
             return argv[i];
         };
+        if (expd::parseGridFlag(grid, a, value))
+            continue;
         if (a == "--store")
             store_dir = value();
-        else if (a == "--arch")
-            grid.archs = expd::splitList(value());
-        else if (a == "--policy")
-            grid.policies = expd::splitList(value());
-        else if (a == "--workload")
-            grid.workloads = expd::splitWorkloadList(value());
-        else if (a == "--capacity-mb") {
-            grid.capacitiesMb.clear();
-            for (const auto &c : expd::splitList(value()))
-                grid.capacitiesMb.push_back(parseCount(a, c));
-        } else if (a == "--cores")
-            grid.cores = parseCount<std::uint32_t>(a, value());
-        else if (a == "--instr")
-            grid.instr = parseCount(a, value());
-        else if (a == "--seed")
-            grid.seed = parseCount(a, value());
-        else if (a == "--warmup")
-            grid.warmup = parseCount(a, value());
-        else if (a == "--fidelity")
-            grid.fidelity = value();
-        else if (a == "--fidelity-detail")
-            grid.fidelityDetail = parseCount(a, value());
-        else if (a == "--fidelity-period")
-            grid.fidelityPeriod = parseCount(a, value());
-        else if (a == "--remote")
-            grid.remote = true;
-        else if (a == "--remote-scale")
-            grid.remoteScale = parseReal(a, value());
-        else if (a == "--remote-latency-ns")
-            grid.remoteLatencyNs = parseReal(a, value());
-        else if (a == "--remote-outstanding")
-            grid.remoteOutstanding =
-                parseCount<std::uint32_t>(a, value());
         else if (a == "--shard")
             parseShard(value(), worker.shardIndex, worker.shardCount);
         else if (a == "--jobs")

@@ -37,7 +37,7 @@
 #include "exp/result_sink.hh"
 #include "exp/sweep_runner.hh"
 #include "expd/store.hh"
-#include "workload/spec.hh"
+#include "workload/compose.hh"
 
 using namespace dapsim;
 
@@ -169,25 +169,9 @@ main(int argc, char **argv)
                 usage();
             return argv[i];
         };
-        if (a == "--arch")
-            opt.grid.archs = expd::splitList(value());
-        else if (a == "--policy")
-            opt.grid.policies = expd::splitList(value());
-        else if (a == "--workload")
-            opt.grid.workloads = expd::splitWorkloadList(value());
-        else if (a == "--capacity-mb") {
-            opt.grid.capacitiesMb.clear();
-            for (const auto &c : expd::splitList(value()))
-                opt.grid.capacitiesMb.push_back(parseCount(a, c));
-        } else if (a == "--cores")
-            opt.grid.cores = parseCount<std::uint32_t>(a, value());
-        else if (a == "--instr")
-            opt.grid.instr = parseCount(a, value());
-        else if (a == "--seed")
-            opt.grid.seed = parseCount(a, value());
-        else if (a == "--warmup")
-            opt.grid.warmup = parseCount(a, value());
-        else if (a == "--jobs")
+        if (expd::parseGridFlag(opt.grid, a, value))
+            continue;
+        if (a == "--jobs")
             opt.jobs = parseCount(a, value());
         else if (a == "--json")
             opt.jsonPath = value();
@@ -195,21 +179,6 @@ main(int argc, char **argv)
             opt.dryRun = true;
         else if (a == "--store")
             opt.storeDir = value();
-        else if (a == "--fidelity")
-            opt.grid.fidelity = value();
-        else if (a == "--fidelity-detail")
-            opt.grid.fidelityDetail = parseCount(a, value());
-        else if (a == "--fidelity-period")
-            opt.grid.fidelityPeriod = parseCount(a, value());
-        else if (a == "--remote")
-            opt.grid.remote = true;
-        else if (a == "--remote-scale")
-            opt.grid.remoteScale = parseReal(a, value());
-        else if (a == "--remote-latency-ns")
-            opt.grid.remoteLatencyNs = parseReal(a, value());
-        else if (a == "--remote-outstanding")
-            opt.grid.remoteOutstanding =
-                parseCount<std::uint32_t>(a, value());
         else if (a == "--warmup-fork")
             opt.warmupFork = true;
         else if (a == "--ckpt-dir")
@@ -235,19 +204,7 @@ main(int argc, char **argv)
         else if (a == "--quiet")
             opt.quiet = true;
         else if (a == "--list") {
-            std::printf("profiles:\n");
-            for (const auto &w : allWorkloads())
-                std::printf("  %-18s %s\n", w.name.c_str(),
-                            w.bandwidthSensitive
-                                ? "bandwidth-sensitive"
-                                : "bandwidth-insensitive");
-            std::printf("workload-engine specs "
-                        "(kind:key=value,...):\n");
-            for (const auto &info : workload::specInfos()) {
-                std::printf("  %-18s %s\n", info.kind, info.help);
-                for (const auto &p : info.params)
-                    std::printf("    %-16s %s\n", p.key, p.help);
-            }
+            workload::printCatalog();
             return 0;
         } else {
             usage();
