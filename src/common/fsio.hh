@@ -9,8 +9,9 @@
  *    never observe a half-written file no matter when the writer dies.
  *  - AppendFile: O_APPEND writes with an explicit fsync per record,
  *    so a crash can tear at most the final record of a ledger.
- *  - createExclusive(): O_CREAT|O_EXCL lock-file creation, the atomic
- *    take-it-or-lose primitive behind job leases and warmup locks.
+ *  - createExclusive(): write-to-temp + link(2) lock-file creation,
+ *    the atomic take-it-or-lose primitive behind job leases and
+ *    warmup locks; a lock is never visible without its content.
  *
  * Everything throws std::runtime_error on failure (never fatal()), so
  * an I/O error inside a worker fails one operation, not the process.
@@ -59,22 +60,23 @@ writeAll(int fd, const void *data, std::size_t n, const std::string &path)
 }
 
 /**
- * Atomically replace @p path with @p data: write a uniquely named
- * temp file next to it, fsync it, rename(2) it into place. The temp
- * name must be unique per CALL, not just per process — two threads of
- * one process publishing the same path concurrently would otherwise
- * truncate each other's temp file and rename half-written bytes into
- * place. Concurrent writers therefore race benignly (last rename
- * wins; every observable file is complete), and a crash leaves at
- * worst an orphaned temp file.
+ * A fresh temp-file name next to @p path. It must be unique per CALL,
+ * not just per process: two threads of one process publishing the
+ * same path concurrently would otherwise truncate each other's temp
+ * file and publish half-written bytes.
  */
-inline void
-atomicWriteFile(const std::string &path, const void *data, std::size_t n)
+inline std::string
+uniqueTempPath(const std::string &path)
 {
     static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp = path + ".tmp." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(counter.fetch_add(1));
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(counter.fetch_add(1));
+}
+
+/** Create @p tmp holding @p data, fsync'd; unlinked again on error. */
+inline void
+writeTempFile(const std::string &tmp, const void *data, std::size_t n)
+{
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
@@ -89,6 +91,19 @@ atomicWriteFile(const std::string &path, const void *data, std::size_t n)
         throw;
     }
     ::close(fd);
+}
+
+/**
+ * Atomically replace @p path with @p data: write a uniquely named
+ * temp file next to it, fsync it, rename(2) it into place. Concurrent
+ * writers race benignly (last rename wins; every observable file is
+ * complete), and a crash leaves at worst an orphaned temp file.
+ */
+inline void
+atomicWriteFile(const std::string &path, const void *data, std::size_t n)
+{
+    const std::string tmp = uniqueTempPath(path);
+    writeTempFile(tmp, data, n);
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
         const int saved = errno;
         ::unlink(tmp.c_str());
@@ -104,31 +119,28 @@ atomicWriteFile(const std::string &path, const std::string &data)
 }
 
 /**
- * Create @p path with O_CREAT|O_EXCL and write @p content — the
- * atomic "exactly one winner" primitive. Returns false when the file
- * already exists; throws on any other failure.
+ * Create @p path holding @p content — the atomic "exactly one winner"
+ * primitive. The content goes to a temp file first, which link(2)
+ * then publishes under @p path only if nothing is there yet: a reader
+ * never sees the file without its content, even if the creator is
+ * killed half-way (an owner-less empty lock could only be reaped by
+ * age). Returns false when the file already exists; throws on any
+ * other failure.
  */
 inline bool
 createExclusive(const std::string &path, const std::string &content)
 {
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd < 0) {
-        if (errno == EEXIST)
-            return false;
-        throw errnoError("fsio: cannot create", path);
-    }
-    try {
-        writeAll(fd, content.data(), content.size(), path);
-        if (::fsync(fd) != 0)
-            throw errnoError("fsio: fsync failed:", path);
-    } catch (...) {
-        ::close(fd);
-        ::unlink(path.c_str());
-        throw;
-    }
-    ::close(fd);
-    return true;
+    const std::string tmp = uniqueTempPath(path);
+    writeTempFile(tmp, content.data(), content.size());
+    const int rc = ::link(tmp.c_str(), path.c_str());
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    if (rc == 0)
+        return true;
+    if (saved == EEXIST)
+        return false;
+    errno = saved;
+    throw errnoError("fsio: cannot create", path);
 }
 
 /** Bump @p path's mtime to now (lease/lock heartbeat). */

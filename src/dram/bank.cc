@@ -27,27 +27,6 @@ BankTiming::from(const DramConfig &cfg)
     return t;
 }
 
-Bank::Access
-Bank::peek(const BankTiming &t, Tick at, std::uint64_t row) const
-{
-    const Tick start = std::max(at, readyAt_);
-    Access acc{};
-    acc.rowHit = (openRow_ == row);
-    acc.rowEmpty = (openRow_ == kNoRow);
-
-    if (acc.rowHit) {
-        acc.dataReadyAt = start + t.tCas;
-    } else if (acc.rowEmpty) {
-        acc.dataReadyAt = start + t.tRcd + t.tCas;
-    } else {
-        // Same arithmetic as reserve()'s conflict arm: preAt + tRP is
-        // the activate tick, data follows tRCD + tCAS later.
-        const Tick preAt = std::max(start, activatedAt_ + t.tRas);
-        acc.dataReadyAt = preAt + t.tRp + t.tRcd + t.tCas;
-    }
-    return acc;
-}
-
 Bank::Probe
 Bank::probe(const BankTiming &t, Tick at) const
 {
@@ -106,12 +85,6 @@ Bank::Access
 Bank::reserve(const DramConfig &cfg, Tick at, std::uint64_t row)
 {
     return reserve(BankTiming::from(cfg), at, row);
-}
-
-Bank::Access
-Bank::peek(const DramConfig &cfg, Tick at, std::uint64_t row) const
-{
-    return peek(BankTiming::from(cfg), at, row);
 }
 
 void

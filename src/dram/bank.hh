@@ -6,7 +6,7 @@
  * command and the next precharge may legally issue (tRCD/tCAS/tRP/tRAS).
  *
  * Timing products (cycles x period) are resolved once per channel into
- * a BankTiming POD; the FR-FCFS scan probes banks against that single
+ * a BankTiming POD; the FR-FCFS pick probes banks against that single
  * cache line instead of re-deriving five multiplications from the
  * config on every candidate.
  */
@@ -27,7 +27,7 @@ struct DramConfig;
 /**
  * Per-access timing products in ticks, resolved once from a
  * DramConfig (see BankTiming::from). One cache line: the scheduler's
- * candidate scan reads it on every probe, so it must never share a
+ * pick reads it on every probe, so it must never share a
  * line with mutable channel state.
  */
 struct alignas(64) BankTiming
@@ -65,16 +65,12 @@ class Bank
      */
     Access reserve(const BankTiming &t, Tick at, std::uint64_t row);
 
-    /** Compute the access timing without changing any state (used by
-     *  the scheduler to rank candidates). Pure function over the three
-     *  state words — no bank copy, no writes. */
-    Access peek(const BankTiming &t, Tick at, std::uint64_t row) const;
-
     /**
-     * Both answers peek() can give at tick @p at: the row argument
-     * only matters through equality with the open row, so one Probe
-     * ranks every queued request to this bank. On a page-empty bank
-     * the two arms coincide (any row must activate first).
+     * The data-ready tick reserve() would give an access at tick @p at,
+     * without changing any state, for both kinds of row: the row only
+     * matters through equality with the open row, so one Probe ranks
+     * every queued request to this bank. On a page-empty bank the two
+     * arms coincide (any row must activate first).
      */
     struct Probe
     {
@@ -88,7 +84,6 @@ class Bank
     /** Convenience overloads resolving timing per call (tests and
      *  one-shot probes; the simulation hot path uses BankTiming). */
     Access reserve(const DramConfig &cfg, Tick at, std::uint64_t row);
-    Access peek(const DramConfig &cfg, Tick at, std::uint64_t row) const;
     void refresh(const DramConfig &cfg, Tick now);
 
     /** Open row, or kNoRow. */

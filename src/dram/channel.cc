@@ -1,6 +1,7 @@
 #include "dram/channel.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace dapsim
 {
@@ -21,8 +22,14 @@ ChannelTiming::from(const DramConfig &cfg)
 Channel::Channel(EventQueue &eq, const DramConfig &cfg, std::uint32_t index)
     : eq_(eq), cfg_(cfg), bankTiming_(BankTiming::from(cfg)),
       timing_(ChannelTiming::from(cfg)), index_(index),
+      depth_(cfg.schedulerScanDepth),
+      depthMask_(cfg.schedulerScanDepth >= 64
+                     ? ~std::uint64_t(0)
+                     : (std::uint64_t(1) << cfg.schedulerScanDepth) - 1),
       banks_(cfg.ranksPerChannel * cfg.banksPerRank)
 {
+    for (Window &w : windows_)
+        w.banks.resize(banks_.size());
     readDemandQ_.reserve(cfg_.requestQueueReserve);
     // Footprint fetches arrive a sector's worth at a time.
     readLowQ_.reserve(4 * cfg_.requestQueueReserve);
@@ -45,6 +52,10 @@ Channel::refreshTick()
     refreshes.inc();
     for (Bank &b : banks_)
         b.refresh(bankTiming_, eq_.now());
+    // Every row closed: no windowed request hits any more.
+    for (Window &w : windows_)
+        for (BankWindow &b : w.banks)
+            b.hit = 0;
     eq_.scheduleAfter(timing_.refi,
                       EventQueue::Callback::of<&Channel::refreshTick>(this));
 }
@@ -79,12 +90,26 @@ Channel::enqueue(ChannelRequest req)
     hot.bank = req.bank;
     hot.extraDataClocks = req.extraDataClocks;
     hot.cb = putCb(std::move(req.onComplete));
-    if (req.isWrite)
+    if (req.isWrite) {
+        if (writeQ_.size() < depth_)
+            admit(windows_[kWrites], writeQ_.size(), hot);
         writeQ_.push_back(hot);
-    else if (req.lowPriority)
+    } else if (req.lowPriority) {
+        if (readQueueLen() < depth_)
+            admit(windows_[kReads], readQueueLen(), hot);
         readLowQ_.push_back(hot);
-    else
+    } else {
+        // Demands scan ahead of lows: the new read takes the window
+        // position after the last demand and pushes the windowed lows
+        // (and with them the window's last entry) back by one.
+        const std::size_t at = readDemandQ_.size();
+        if (at < depth_) {
+            if (at < readQueueLen())
+                openSlot(windows_[kReads], at);
+            admit(windows_[kReads], at, hot);
+        }
         readDemandQ_.push_back(hot);
+    }
     scheduleKick(eq_.now());
 }
 
@@ -114,64 +139,106 @@ Channel::kickTick()
     kick();
 }
 
+const Channel::HotReq &
+Channel::windowEntry(std::size_t cls, std::size_t i) const
+{
+    if (cls == kWrites)
+        return writeQ_[i];
+    return i < readDemandQ_.size() ? readDemandQ_[i]
+                                   : readLowQ_[i - readDemandQ_.size()];
+}
+
+void
+Channel::admit(Window &w, std::size_t i, const HotReq &r)
+{
+    const std::uint64_t bit = std::uint64_t(1) << i;
+    BankWindow &b = w.banks[r.bank];
+    b.pos |= bit;
+    if (r.row == banks_[r.bank].openRow())
+        b.hit |= bit;
+    w.active |= std::uint64_t(1) << r.bank;
+}
+
+void
+Channel::openSlot(Window &w, std::size_t i)
+{
+    const std::uint64_t keep = (std::uint64_t(1) << i) - 1;
+    for (std::uint64_t act = w.active; act != 0; act &= act - 1) {
+        const unsigned bank = static_cast<unsigned>(std::countr_zero(act));
+        BankWindow &b = w.banks[bank];
+        b.pos = ((b.pos & ~keep) << 1 | (b.pos & keep)) & depthMask_;
+        b.hit = ((b.hit & ~keep) << 1 | (b.hit & keep)) & depthMask_;
+        if (b.pos == 0)
+            w.active &= ~(std::uint64_t(1) << bank);
+    }
+}
+
+void
+Channel::closeSlot(Window &w, std::size_t i, std::uint32_t bank)
+{
+    const std::uint64_t bit = std::uint64_t(1) << i;
+    BankWindow &own = w.banks[bank];
+    own.pos &= ~bit;
+    own.hit &= ~bit;
+    if (own.pos == 0)
+        w.active &= ~(std::uint64_t(1) << bank);
+    const std::uint64_t keep = bit - 1;
+    for (std::uint64_t act = w.active; act != 0; act &= act - 1) {
+        BankWindow &b = w.banks[std::countr_zero(act)];
+        b.pos = (b.pos & keep) | ((b.pos >> 1) & ~keep);
+        b.hit = (b.hit & keep) | ((b.hit >> 1) & ~keep);
+    }
+}
+
+void
+Channel::refreshHits(std::uint32_t bank)
+{
+    const std::uint64_t row = banks_[bank].openRow();
+    for (std::size_t cls : {kReads, kWrites}) {
+        BankWindow &b = windows_[cls].banks[bank];
+        std::uint64_t hit = 0;
+        for (std::uint64_t m = b.pos; m != 0; m &= m - 1) {
+            const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+            if (windowEntry(cls, i).row == row)
+                hit |= std::uint64_t(1) << i;
+        }
+        b.hit = hit;
+    }
+}
+
 Channel::Pick
-Channel::pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
-                   std::size_t nspans, std::size_t depth) const
+Channel::pick(const Window &w) const
 {
     // FR-FCFS flavour: within the scan window, choose the request
     // whose data could start earliest (row hits on ready banks win;
     // requests to backed-up banks lose). Ties resolve to the oldest,
-    // which bounds starvation together with the scan depth.
+    // which bounds starvation together with the scan depth. A bank's
+    // windowed requests share one of two data-ready ticks (its open
+    // row's, or any other row's), so only the earliest position of
+    // each kind per bank can win: the lexicographic min of
+    // (ready, position) over those candidates is the scan's answer.
     const Tick now = eq_.now();
-    // No candidate can beat now + tCAS (start = max(now, readyAt) and
-    // the cheapest arm is a row hit), and ties already go to the
-    // earliest-scanned entry — so a candidate at the floor ends the
-    // scan exactly.
-    const Tick floor = now + bankTiming_.tCas;
     Pick best{0, ~Tick(0)};
-    // One Bank::probe per distinct bank answers every candidate row
-    // (hit vs other), so interleaved-bank queues cost one state read
-    // per bank instead of one peek per entry.
-    constexpr std::size_t kMaxCachedBanks = 64;
-    Bank::Probe probes[kMaxCachedBanks];
-    std::uint64_t have = 0; // bitmask of banks already probed
-    const bool cacheable = banks_.size() <= kMaxCachedBanks;
-    std::size_t base = 0; // global index of the current span's start
-    for (std::size_t s = 0; s < nspans && depth != 0; ++s) {
-        const HotReq *p = spans[s].first;
-        const std::size_t n = std::min(spans[s].second, depth);
-        depth -= n;
-        for (std::size_t i = 0; i < n; ++i) {
-            const HotReq &r = p[i];
-            Tick ready;
-            if (cacheable) {
-                const std::uint64_t bit = std::uint64_t(1) << r.bank;
-                if ((have & bit) == 0) {
-                    probes[r.bank] =
-                        banks_[r.bank].probe(bankTiming_, now);
-                    have |= bit;
-                }
-                const Bank::Probe &pr = probes[r.bank];
-                ready = r.row == pr.openRow ? pr.hitAt : pr.otherAt;
-            } else {
-                ready = banks_[r.bank]
-                            .peek(bankTiming_, now, r.row)
-                            .dataReadyAt;
-            }
-            if (ready < best.dataReadyAt) {
-                best.dataReadyAt = ready;
-                best.idx = base + i;
-                if (ready <= floor)
-                    return best;
-            }
-        }
-        base += n;
+    const auto consider = [&best](Tick ready, std::uint64_t mask) {
+        const auto idx = static_cast<std::size_t>(std::countr_zero(mask));
+        if (ready < best.dataReadyAt ||
+            (ready == best.dataReadyAt && idx < best.idx))
+            best = Pick{idx, ready};
+    };
+    for (std::uint64_t act = w.active; act != 0; act &= act - 1) {
+        const unsigned bank = static_cast<unsigned>(std::countr_zero(act));
+        const BankWindow &b = w.banks[bank];
+        const Bank::Probe pr = banks_[bank].probe(bankTiming_, now);
+        if (b.hit != 0)
+            consider(pr.hitAt, b.hit);
+        if (const std::uint64_t other = b.pos & ~b.hit; other != 0)
+            consider(pr.otherAt, other);
     }
     return best;
 }
 
-Tick
-Channel::placeBus(Tick ready, Tick occ, bool reserve)
+Channel::BusSlot
+Channel::placeBus(Tick ready, Tick occ)
 {
     // Reservations are disjoint and sorted by start, hence by end too:
     // the expired ones form a prefix, dropped by advancing the head.
@@ -189,14 +256,17 @@ Channel::placeBus(Tick ready, Tick occ, bool reserve)
     }
 
     // Common case: the slot starts after every reservation ends.
-    if (busResv_.empty() || ready >= busResv_.back().second) {
-        if (reserve)
-            busResv_.emplace_back(ready, ready + occ);
-        return ready;
-    }
+    if (busResv_.empty() || ready >= busResv_.back().second)
+        return BusSlot{ready, busResv_.size()};
 
+    // Reservations that end at or before @p ready can neither hold
+    // the slot back nor follow it: start the gap walk past them.
+    const auto first = std::partition_point(
+        busResv_.begin() + static_cast<std::ptrdiff_t>(busHead_),
+        busResv_.end(),
+        [ready](const std::pair<Tick, Tick> &r) { return r.second <= ready; });
     Tick start = ready;
-    std::size_t pos = busHead_;
+    auto pos = static_cast<std::size_t>(first - busResv_.begin());
     for (; pos < busResv_.size(); ++pos) {
         const auto &[s, e] = busResv_[pos];
         if (start + occ <= s)
@@ -204,22 +274,32 @@ Channel::placeBus(Tick ready, Tick occ, bool reserve)
         if (start < e)
             start = e; // overlap: push past it
     }
-    if (reserve) {
-        busResv_.insert(busResv_.begin() +
-                            static_cast<std::ptrdiff_t>(pos),
-                        {start, start + occ});
-    }
-    return start;
+    return BusSlot{start, pos};
 }
 
 void
-Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
+Channel::issue(std::size_t cls, const Pick &p, const BusSlot &probed)
 {
-    const HotReq req = q[idx];
-    q.erase(idx);
+    const bool isWrite = cls == kWrites;
+    const std::size_t idx = p.idx;
+    const HotReq req = windowEntry(cls, idx);
+    if (isWrite)
+        writeQ_.erase(idx);
+    else if (idx < readDemandQ_.size())
+        readDemandQ_.erase(idx);
+    else
+        readLowQ_.erase(idx - readDemandQ_.size());
+    // The request leaves the window; the first one behind the window
+    // (if any) moves into its last position.
+    Window &w = windows_[cls];
+    closeSlot(w, idx, req.bank);
+    if ((isWrite ? writeQ_.size() : readQueueLen()) >= depth_)
+        admit(w, depth_ - 1, windowEntry(cls, depth_ - 1));
 
     Bank &bank = banks_[req.bank];
     const Bank::Access acc = bank.reserve(bankTiming_, eq_.now(), req.row);
+    if (!acc.rowHit)
+        refreshHits(req.bank); // the bank opened another row
 
     Tick occupancy = bankTiming_.burst +
                      req.extraDataClocks * timing_.period;
@@ -230,8 +310,16 @@ Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
     }
     lastWasWrite_ = isWrite;
 
-    const Tick dataStart = placeBus(acc.dataReadyAt, occupancy, true);
+    // kick() placed a plain burst at the same ready tick a moment ago
+    // (same tick, same reservations): reuse that placement.
+    const BusSlot slot =
+        occupancy == bankTiming_.burst && acc.dataReadyAt == p.dataReadyAt
+            ? probed
+            : placeBus(acc.dataReadyAt, occupancy);
+    const Tick dataStart = slot.start;
     const Tick dataEnd = dataStart + occupancy;
+    busResv_.insert(busResv_.begin() + static_cast<std::ptrdiff_t>(slot.pos),
+                    {dataStart, dataEnd});
     busBusy_ += occupancy;
 
     if (acc.rowHit)
@@ -287,45 +375,18 @@ Channel::kick()
 
         const bool fromWrites =
             (draining_ && !writeQ_.empty()) || readLen == 0;
+        const std::size_t cls = fromWrites ? kWrites : kReads;
+        const Pick p = pick(windows_[cls]);
 
-        // The scan already probed the winner's bank, so its data-ready
-        // tick rides along in the Pick — no second peek here. Reads
-        // scan as one sequence — demands, then lows — which is the
-        // FR-FCFS scan (and tie-break) order of a combined
-        // priority-sorted queue.
-        std::pair<const HotReq *, std::size_t> spans[4];
-        std::size_t nspans;
-        if (fromWrites) {
-            spans[0] = writeQ_.seg0();
-            spans[1] = writeQ_.seg1();
-            nspans = 2;
-        } else {
-            spans[0] = readDemandQ_.seg0();
-            spans[1] = readDemandQ_.seg1();
-            spans[2] = readLowQ_.seg0();
-            spans[3] = readLowQ_.seg1();
-            nspans = 4;
-        }
-        const Pick p = pickSpans(
-            spans, nspans,
-            std::min<std::size_t>(fromWrites ? writeQ_.size() : readLen,
-                                  cfg_.schedulerScanDepth));
-
-        const Tick start =
-            placeBus(p.dataReadyAt, bankTiming_.burst, false);
-        if (start > eq_.now() + maxAhead()) {
+        const BusSlot slot = placeBus(p.dataReadyAt, bankTiming_.burst);
+        if (slot.start > eq_.now() + maxAhead()) {
             kicksWait.inc();
-            scheduleKick(start - maxAhead());
+            scheduleKick(slot.start - maxAhead());
             return;
         }
 
         kicksIssue.inc();
-        if (fromWrites)
-            issue(writeQ_, p.idx, true);
-        else if (p.idx < readDemandQ_.size())
-            issue(readDemandQ_, p.idx, false);
-        else
-            issue(readLowQ_, p.idx - readDemandQ_.size(), false);
+        issue(cls, p, slot);
     }
 }
 

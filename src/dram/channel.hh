@@ -5,7 +5,9 @@
  * The scheduler ranks requests in a bounded scan window by the tick at
  * which their data could start moving (row hits on free banks first),
  * lets bank preparations proceed in parallel on independent banks, and
- * places data transfers into gaps of a bus-reservation timeline.
+ * places data transfers into gaps of a bus-reservation timeline. The
+ * window is kept as per-bank position masks, so a pick probes each
+ * active bank once instead of visiting every windowed request.
  * Writes are batched between drain watermarks to limit turnarounds;
  * low-priority reads (prefetch fetches) queue behind demand reads.
  */
@@ -139,10 +141,9 @@ class Channel
   private:
     /**
      * Queued request with the completion callback parked elsewhere:
-     * the FR-FCFS scan and positional erases stream over 32-byte
-     * PODs instead of striding across (and move-constructing)
-     * callback-carrying ~112-byte ChannelRequests. @c cb indexes
-     * cbSlots_.
+     * window lookups and positional erases move 32-byte PODs instead
+     * of (move-constructing) callback-carrying ~112-byte
+     * ChannelRequests. @c cb indexes cbSlots_.
      */
     struct HotReq
     {
@@ -168,28 +169,77 @@ class Channel
     /** Pre-bound kick event body: drops stale (superseded) wakeups. */
     void kickTick();
 
-    /** Winning candidate of one FR-FCFS scan: queue position plus the
-     *  bank probe result, so kick() need not re-peek the winner. */
+    /** Scan classes: reads (demand, then low-priority) and writes. */
+    static constexpr std::size_t kReads = 0;
+    static constexpr std::size_t kWrites = 1;
+
+    /** One bank's share of a scan window: bit i of @c pos is set when
+     *  window position i targets the bank, and of @c hit when that
+     *  request's row is the bank's open row (hit is a subset of pos). */
+    struct BankWindow
+    {
+        std::uint64_t pos = 0;
+        std::uint64_t hit = 0;
+    };
+
+    /**
+     * The first schedulerScanDepth requests of one scan class, summed
+     * up per bank. Every request a bank holds in the window shares one
+     * of two data-ready ticks (open-row hit or not), so the earliest
+     * position of each kind per active bank is all a pick needs.
+     */
+    struct Window
+    {
+        std::uint64_t active = 0; ///< banks with a windowed request
+        std::vector<BankWindow> banks;
+    };
+
+    /** Winning candidate of one pick: window position plus its data
+     *  ready tick, so kick() need not re-probe the winner's bank. */
     struct Pick
     {
         std::size_t idx = 0;
         Tick dataReadyAt = 0;
     };
 
-    /** Pick the best candidate (earliest data) among the first
-     *  @p depth entries of the concatenated @p spans (contiguous
-     *  HotReq runs in scan order). Total span length must be > 0. */
-    Pick pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
-                   std::size_t nspans, std::size_t depth) const;
+    /** A bus slot: its start tick and the reservation index at which
+     *  claiming it keeps busResv_ sorted. */
+    struct BusSlot
+    {
+        Tick start;
+        std::size_t pos;
+    };
 
-    /**
-     * Find the earliest bus slot of length @p occ starting at or after
-     * @p ready. With @p reserve the slot is claimed.
-     */
-    Tick placeBus(Tick ready, Tick occ, bool reserve);
+    /** The request at window position @p i of scan class @p cls. */
+    const HotReq &windowEntry(std::size_t cls, std::size_t i) const;
 
-    /** Issue one request from @p q at position @p idx. */
-    void issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite);
+    /** Record @p r at the (free) window position @p i of @p w. */
+    void admit(Window &w, std::size_t i, const HotReq &r);
+
+    /** Open window position @p i of @p w: positions at or after @p i
+     *  move up one; the one past the window end falls out. */
+    void openSlot(Window &w, std::size_t i);
+
+    /** Close window position @p i (held by a request to @p bank):
+     *  later positions move down one. */
+    void closeSlot(Window &w, std::size_t i, std::uint32_t bank);
+
+    /** Recompute @p bank's open-row hit masks after its row changed. */
+    void refreshHits(std::uint32_t bank);
+
+    /** FR-FCFS pick over @p w: earliest data-ready tick, ties to the
+     *  earliest window position. One Bank::probe per active bank.
+     *  The window must be non-empty. */
+    Pick pick(const Window &w) const;
+
+    /** Earliest bus slot of length @p occ starting at or after
+     *  @p ready (expired reservations are dropped first). */
+    BusSlot placeBus(Tick ready, Tick occ);
+
+    /** Issue @p p's request from scan class @p cls. @p probed is
+     *  kick()'s placement of a plain burst at p.dataReadyAt, reused
+     *  when the issue occupies exactly that. */
+    void issue(std::size_t cls, const Pick &p, const BusSlot &probed);
 
     /** Longest tolerated gap between now and a candidate's data start
      *  before the scheduler goes back to sleep: a full row-conflict
@@ -209,6 +259,11 @@ class Channel
     RingDeque<HotReq> readDemandQ_;
     RingDeque<HotReq> readLowQ_;
     RingDeque<HotReq> writeQ_;
+    /** Window summaries of the two scan classes (kReads, kWrites);
+     *  derived from the queues, so never checkpointed. */
+    Window windows_[2];
+    std::size_t depth_;        ///< cfg_.schedulerScanDepth (1..64)
+    std::uint64_t depthMask_;  ///< window positions 0..depth_-1
     /** Parked completion callbacks + freelist (see HotReq::cb). */
     std::vector<EventQueue::Callback> cbSlots_;
     std::vector<std::uint32_t> cbFree_;

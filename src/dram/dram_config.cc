@@ -41,6 +41,12 @@ DramConfig::validate() const
         fatal(name + ": one burst must transfer one 64B block");
     if (writeQueueLow >= writeQueueHigh)
         fatal(name + ": write drain watermarks inverted");
+    // The channel scheduler keeps its scan window as 64-bit position
+    // masks per bank, and its active banks as one 64-bit mask.
+    if (schedulerScanDepth == 0 || schedulerScanDepth > 64)
+        fatal(name + ": scheduler scan depth must be within [1, 64]");
+    if (static_cast<std::uint64_t>(ranksPerChannel) * banksPerRank > 64)
+        fatal(name + ": more than 64 banks per channel");
 }
 
 } // namespace dapsim

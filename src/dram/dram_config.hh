@@ -60,7 +60,7 @@ struct DramConfig
     std::uint32_t writeQueueHigh = 48;
     std::uint32_t writeQueueLow = 12;
 
-    /** Bounded FR-FCFS scan depth. */
+    /** Bounded FR-FCFS scan depth, 1..64 (see validate()). */
     std::uint32_t schedulerScanDepth = 32;
 
     /** Per-channel request-queue capacity to pre-reserve (queues stay

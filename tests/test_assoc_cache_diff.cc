@@ -14,6 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,15 @@
 
 namespace dapsim
 {
+
+/** Name the policy in test ids (found by ADL, so it lives in the
+ *  policy's namespace; internal linkage keeps it to this file). */
+static void
+PrintTo(ReplPolicy policy, std::ostream *os)
+{
+    *os << (policy == ReplPolicy::LRU ? "LRU" : "NRU");
+}
+
 namespace
 {
 
@@ -48,6 +60,14 @@ struct Geometry
     std::uint64_t sets;
     std::uint32_t ways;
 };
+
+/** Print the fields, not the raw bytes: gtest would otherwise dump
+ *  the struct's padding into the test ids. */
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << "{sets=" << g.sets << ", ways=" << g.ways << "}";
+}
 
 class AssocCacheDiff
     : public ::testing::TestWithParam<std::tuple<Geometry, ReplPolicy>>
@@ -221,7 +241,14 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Geometry{1, 1}, Geometry{4, 2},
                           Geometry{8, 4}, Geometry{16, 16},
                           Geometry{64, 3}, Geometry{2, 64}),
-        ::testing::Values(ReplPolicy::LRU, ReplPolicy::NRU)));
+        ::testing::Values(ReplPolicy::LRU, ReplPolicy::NRU)),
+    [](const ::testing::TestParamInfo<AssocCacheDiff::ParamType> &info) {
+        const Geometry &g = std::get<0>(info.param);
+        return "s" + std::to_string(g.sets) + "_w" +
+               std::to_string(g.ways) +
+               (std::get<1>(info.param) == ReplPolicy::LRU ? "_LRU"
+                                                           : "_NRU");
+    });
 
 /** Value type with interior padding: save must take the per-element
  *  stream fallback (encoding tag 0) and still round-trip. */

@@ -66,6 +66,33 @@ TEST(DramConfigDeathTest, ValidationCatchesNonsense)
     EXPECT_DEATH(w.validate(), "watermarks");
 }
 
+TEST(DramConfigDeathTest, ScanDepthOutsideOneToSixtyFourIsFatal)
+{
+    // Depth 0 leaves every pick empty (data ready at 2^64 - 1, so the
+    // kick parks there with requests queued); past 64 the window no
+    // longer fits the scheduler's 64-bit position masks.
+    for (const std::uint32_t depth : {0u, 65u}) {
+        DramConfig c = presets::ddr4_2400();
+        c.schedulerScanDepth = depth;
+        EXPECT_DEATH(c.validate(), "scan depth") << depth;
+    }
+    DramConfig ok = presets::ddr4_2400();
+    ok.schedulerScanDepth = 64;
+    ok.validate();
+    ok.schedulerScanDepth = 1;
+    ok.validate();
+}
+
+TEST(DramConfigDeathTest, MoreThanSixtyFourBanksPerChannelIsFatal)
+{
+    DramConfig c = presets::ddr4_2400();
+    c.ranksPerChannel = 4;
+    c.banksPerRank = 32;
+    EXPECT_DEATH(c.validate(), "banks per channel");
+    c.banksPerRank = 16;
+    c.validate();
+}
+
 TEST(Bank, RowHitIsFasterThanMissIsFasterThanConflict)
 {
     const DramConfig cfg = presets::ddr4_2400();
@@ -92,16 +119,28 @@ TEST(Bank, RowHitIsFasterThanMissIsFasterThanConflict)
               (cfg.tRP + cfg.tRCD + cfg.tCAS) * period - 1);
 }
 
-TEST(Bank, PeekDoesNotMutate)
+TEST(Bank, ProbeMatchesReserveWithoutMutating)
 {
     const DramConfig cfg = presets::hbm_102();
+    const BankTiming t = BankTiming::from(cfg);
     Bank b;
-    (void)b.reserve(cfg, 0, 3);
+    // Page-empty: both arms pay the activate.
+    Bank::Probe p = b.probe(t, 0);
+    EXPECT_EQ(p.openRow, Bank::kNoRow);
+    EXPECT_EQ(p.hitAt, p.otherAt);
+    Bank copy = b;
+    EXPECT_EQ(copy.reserve(t, 0, 3).dataReadyAt, p.otherAt);
+
+    (void)b.reserve(t, 0, 3);
     const Tick ready = b.readyAt();
-    const auto p = b.peek(cfg, ready, 5);
-    EXPECT_FALSE(p.rowHit);
+    p = b.probe(t, ready);
     EXPECT_EQ(b.openRow(), 3u);
     EXPECT_EQ(b.readyAt(), ready);
+    EXPECT_EQ(p.openRow, 3u);
+    copy = b;
+    EXPECT_EQ(copy.reserve(t, ready, 3).dataReadyAt, p.hitAt);
+    copy = b;
+    EXPECT_EQ(copy.reserve(t, ready, 5).dataReadyAt, p.otherAt);
 }
 
 TEST(Bank, PrechargeClosesRow)

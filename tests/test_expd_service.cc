@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -258,6 +260,46 @@ TEST(ExpqWorker, StaleLeaseOfDeadProcessIsReaped)
     EXPECT_FALSE(store.tryLease(0, 1e9));
     store.releaseLease(0);
     EXPECT_TRUE(store.tryLease(0, 1e9));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ExpqStore, RacingReaderNeverSeesAnEmptyLock)
+{
+    // A lock without its owner record can only be reaped by age (the
+    // lease TTL, a minute by default): a worker killed between
+    // creating a lock and writing it used to stall the next warm-up
+    // of that group that long. createExclusive publishes the complete
+    // file in one step, so a concurrent reader sees either no lock or
+    // the full record.
+    const std::string dir = freshDir("dapsim_expq_lockrace");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/warmup.lock";
+    const std::string owner = R"({"pid":1,"host":"h"})";
+    std::atomic<bool> done{false};
+    std::size_t seen = 0;
+    std::size_t empty = 0;
+    std::thread reader([&] {
+        char buf[64];
+        while (!done.load()) {
+            const int fd = ::open(path.c_str(), O_RDONLY);
+            if (fd < 0)
+                continue;
+            ++seen;
+            if (::read(fd, buf, sizeof(buf)) <= 0)
+                ++empty;
+            ::close(fd);
+        }
+    });
+    for (int i = 0; i < 400; ++i) {
+        ASSERT_TRUE(fsio::createExclusive(path, owner));
+        EXPECT_FALSE(fsio::createExclusive(path, owner));
+        ::unlink(path.c_str());
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(empty, 0u) << "of " << seen << " reads";
+    // Only the lock itself is left behind: no temp files.
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
     std::filesystem::remove_all(dir);
 }
 
